@@ -13,16 +13,16 @@
 // emitted as JSON for the scaling-curve table in README.
 
 // A fourth section measures the *production* SNAP force engine
-// (SnapPotential over a periodic diamond system) with all three kernel
-// variants — Naive (full range), Symmetric (TestSNAP V5-V7 port: half
-// range + cached neighbor dU + SoA) and Simd (V8: lane-blocked AVX2/
-// AVX-512 over neighbors) — across thread counts, checks force parity
-// between them, and optionally records the whole run as machine-stamped
-// JSON (--json <path>; the bench_record CMake target writes
-// BENCH_headline.json at the repo root). Thread counts beyond the
-// machine's hardware threads are stamped "oversubscribed": flat curves
-// from a 1-core container are annotated as such, not presented as
-// scaling. A fifth section is the roofline readout: per-stage GFLOP/s
+// (SnapPotential over a periodic diamond system) on two SIMD backends,
+// set through EMBER_SIMD: the scalar lowering (TestSNAP V5-V7 layout:
+// half range + cached neighbor dU + SoA) and the ISA the dispatcher picks
+// (V8: lane-blocked AVX2/AVX-512 over neighbors). It runs them across
+// thread counts, checks force parity between them, and optionally records
+// the whole run as machine-stamped JSON (--json <path>; the bench_record
+// CMake target writes BENCH_headline.json at the repo root). Thread
+// counts beyond the machine's hardware threads are stamped
+// "oversubscribed": flat curves from a 1-core container are annotated as
+// such, not presented as scaling. A fifth section is the roofline readout: per-stage GFLOP/s
 // from the kernel timing counters and the analytic Bispectrum::flops_*
 // counts, against a DP peak derived from the probed ISA width and clock
 // (the paper's Table-I-style fraction-of-peak, at node scale in the
@@ -39,6 +39,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -103,24 +104,48 @@ struct KernelRun {
   std::vector<ember::Vec3> f;
 };
 
+// The production kernel under one EMBER_SIMD setting; env == nullptr
+// keeps the caller's environment (the dispatched ISA).
+struct Backend {
+  const char* env;
+  std::string name;
+};
+
+// Index 0 is the scalar lowering, index 1 the dispatched ISA.
+std::vector<Backend> backends() {
+  using namespace ember::snap;
+  return {{"scalar", "scalar"}, {nullptr, simd::to_string(simd::choose_isa())}};
+}
+
+// Runs fn() with EMBER_SIMD set to env (nullptr: unchanged). Bispectrum
+// reads the variable at construction, including the per-thread kernels a
+// threaded compute builds lazily, so the whole run sits inside.
+template <typename F>
+auto with_simd_env(const char* env, F&& fn) {
+  const char* old = std::getenv("EMBER_SIMD");
+  const std::string saved = old != nullptr ? old : "";
+  if (env != nullptr) ::setenv("EMBER_SIMD", env, 1);
+  auto result = fn();
+  if (old != nullptr) {
+    ::setenv("EMBER_SIMD", saved.c_str(), 1);
+  } else {
+    ::unsetenv("EMBER_SIMD");
+  }
+  return result;
+}
+
 struct ProductionBench {
   int natoms = 0;
   double avg_neighbors = 0.0;
-  // grind[kernel][thread index], threads from kThreadCounts; kernel order
-  // matches kKernels / kKernelNames below.
+  // runs[backend][thread index], threads from kThreadCounts; backend
+  // order matches backends().
   std::vector<std::vector<KernelRun>> runs;
-  double max_force_delta = 0.0;       // symmetric vs naive, 1 thread
-  double max_force_delta_simd = 0.0;  // simd vs symmetric, 1 thread
+  double max_force_delta_simd = 0.0;  // dispatched vs scalar, 1 thread
 };
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-constexpr ember::snap::SnapKernel kKernels[] = {
-    ember::snap::SnapKernel::Naive, ember::snap::SnapKernel::Symmetric,
-    ember::snap::SnapKernel::Simd};
-constexpr const char* kKernelNames[] = {"naive", "symmetric", "simd"};
-constexpr int kNumKernels = static_cast<int>(std::size(kKernels));
 
-ember::snap::SnapModel production_model(ember::snap::SnapKernel kernel) {
+ember::snap::SnapModel production_model() {
   using namespace ember;
   snap::SnapParams p;
   p.twojmax = 8;
@@ -128,7 +153,6 @@ ember::snap::SnapModel production_model(ember::snap::SnapKernel kernel) {
   // in compressed carbon at 2J=8.
   p.rcut = 3.1;
   p.bzero_flag = true;
-  p.kernel = kernel;
   snap::SnapModel m;
   m.params = p;
   Rng rng(7);
@@ -186,17 +210,18 @@ double max_component_delta(const std::vector<ember::Vec3>& a,
 ProductionBench run_production_bench() {
   using namespace ember;
   ProductionBench b;
-  for (const auto kernel : kKernels) {
-    const snap::SnapModel model = production_model(kernel);
-    std::vector<KernelRun> runs;
-    for (const int nth : kThreadCounts) {
-      runs.push_back(run_production(model, nth, &b.avg_neighbors));
-    }
-    b.runs.push_back(std::move(runs));
+  const snap::SnapModel model = production_model();
+  for (const Backend& be : backends()) {
+    b.runs.push_back(with_simd_env(be.env, [&] {
+      std::vector<KernelRun> runs;
+      for (const int nth : kThreadCounts) {
+        runs.push_back(run_production(model, nth, &b.avg_neighbors));
+      }
+      return runs;
+    }));
   }
   b.natoms = static_cast<int>(b.runs[0][0].f.size());
-  b.max_force_delta = max_component_delta(b.runs[0][0].f, b.runs[1][0].f);
-  b.max_force_delta_simd = max_component_delta(b.runs[2][0].f, b.runs[1][0].f);
+  b.max_force_delta_simd = max_component_delta(b.runs[1][0].f, b.runs[0][0].f);
   return b;
 }
 
@@ -211,35 +236,33 @@ struct StageReadout {
 // Single-thread production workload with kernel timing on; stage seconds
 // come from the snap.* counters, stage FLOPs from the analytic
 // Bispectrum::flops_* counts scaled by the counted atoms/neighbor visits.
-// The Simd counts deliberately exclude padded remainder lanes — only
-// useful flops credit the rate, so fraction-of-peak stays honest.
-std::vector<StageReadout> measure_stages(ember::snap::SnapKernel kernel) {
+// The vector counts deliberately exclude padded remainder lanes — only
+// useful flops credit the rate, so fraction-of-peak stays honest. Call
+// under the backend's EMBER_SIMD setting (with_simd_env).
+std::vector<StageReadout> measure_stages() {
   using namespace ember;
   auto& reg = obs::Registry::global();
-  for (const char* c :
-       {"snap.ui_seconds", "snap.yi_seconds", "snap.dei_seconds",
-        "snap.dei_cached_seconds", "snap.atoms", "snap.neighbors"}) {
+  for (const char* c : {"snap.ui_seconds", "snap.yi_seconds",
+                        "snap.dei_seconds", "snap.atoms", "snap.neighbors"}) {
     reg.counter(c).reset();
   }
   obs::set_kernel_timing(true);
-  run_production(production_model(kernel), 1, nullptr);
+  run_production(production_model(), 1, nullptr);
   obs::set_kernel_timing(false);
 
   const double atoms = reg.counter("snap.atoms").value();
   const double neigh = reg.counter("snap.neighbors").value();
-  const snap::Bispectrum bi(production_model(kernel).params);
+  const snap::Bispectrum bi(production_model().params);
   // flops_ui(n) is affine in n: a per-atom part (self term + zeroing) plus
   // a per-neighbor recursion slope.
   const double ui_base = bi.flops_ui(0);
   const double ui_slope = bi.flops_ui(1) - ui_base;
-  const double dei_seconds = reg.counter("snap.dei_seconds").value() +
-                             reg.counter("snap.dei_cached_seconds").value();
   return {
       {"ui", reg.counter("snap.ui_seconds").value(),
        1e-9 * (ui_slope * neigh + ui_base * atoms)},
       {"yi", reg.counter("snap.yi_seconds").value(),
        1e-9 * bi.flops_yi() * atoms},
-      {"dei", dei_seconds,
+      {"dei", reg.counter("snap.dei_seconds").value(),
        1e-9 * (bi.flops_duidrj() + bi.flops_deidrj()) * neigh},
   };
 }
@@ -391,8 +414,9 @@ ember::bench::Recorder production_recording(const ProductionBench& b) {
   rec.root().set("avg_neighbors", b.avg_neighbors, "%.1f");
 
   const ember::obs::MachineInfo mach = ember::obs::probe_machine();
+  const std::vector<Backend> bes = backends();
   Json kernels = Json::array();
-  for (int k = 0; k < kNumKernels; ++k) {
+  for (std::size_t k = 0; k < bes.size(); ++k) {
     Json curve = Json::array();
     for (std::size_t i = 0; i < b.runs[k].size(); ++i) {
       Json entry = Json::object()
@@ -407,16 +431,13 @@ ember::bench::Recorder production_recording(const ProductionBench& b) {
       curve.push(std::move(entry));
     }
     kernels.push(Json::object()
-                     .set("kernel", kKernelNames[k])
+                     .set("kernel", bes[k].name)
                      .set("grind_time", std::move(curve)));
   }
   rec.root().set("kernels", std::move(kernels));
-  rec.root().set("speedup_symmetric_vs_naive",
+  rec.root().set("speedup_simd_vs_scalar",
                  b.runs[0][0].grind / b.runs[1][0].grind, "%.2f");
-  rec.root().set("speedup_simd_vs_symmetric",
-                 b.runs[1][0].grind / b.runs[2][0].grind, "%.2f");
-  rec.root().set("max_force_delta", b.max_force_delta, "%.3g");
-  rec.root().set("max_force_delta_simd_vs_symmetric", b.max_force_delta_simd,
+  rec.root().set("max_force_delta_simd_vs_scalar", b.max_force_delta_simd,
                  "%.3g");
 
   // Table-I-style readout: measured per-stage GFLOP/s against the DP peak
@@ -431,13 +452,11 @@ ember::bench::Recorder production_recording(const ProductionBench& b) {
   Json rk = Json::array();
   std::printf("\n  roofline (1 thread, DP peak %.1f GFLOP/s/core):\n", peak);
   std::printf("    kernel      stage   seconds    GFLOP/s   %% of peak\n");
-  for (const auto kernel :
-       {ember::snap::SnapKernel::Symmetric, ember::snap::SnapKernel::Simd}) {
-    const char* name = kKernelNames[kernel == ember::snap::SnapKernel::Simd
-                                        ? 2
-                                        : 1];
+  for (const Backend& be : bes) {
+    const char* name = be.name.c_str();
     Json stages = Json::array();
-    for (const StageReadout& s : measure_stages(kernel)) {
+    for (const StageReadout& s :
+         with_simd_env(be.env, [] { return measure_stages(); })) {
       const double rate = s.seconds > 0.0 ? s.gflop / s.seconds : 0.0;
       const double frac = peak > 0.0 ? rate / peak : 0.0;
       stages.push(Json::object()
@@ -460,25 +479,22 @@ void print_production_bench(const char* json_path) {
   using namespace ember;
   const ProductionBench b = run_production_bench();
   const obs::MachineInfo mach = obs::probe_machine();
-  std::printf("\n== Production SNAP kernel: Naive vs Symmetric vs Simd[%s] "
+  const std::string isa = backends()[1].name;
+  std::printf("\n== Production SNAP kernel: scalar vs %s "
               "(2J=8, %d atoms, %.0f nbrs) ==\n\n",
-              snap::simd::to_string(snap::simd::max_supported_isa()), b.natoms,
-              b.avg_neighbors);
-  std::printf("  threads   naive [us/atom]   symm [us/atom]   "
-              "simd [us/atom]   simd speedup\n");
+              isa.c_str(), b.natoms, b.avg_neighbors);
+  std::printf("  threads   scalar [us/atom]   %6s [us/atom]   simd speedup\n",
+              isa.c_str());
   for (std::size_t i = 0; i < b.runs[0].size(); ++i) {
     const char* note = kThreadCounts[i] > mach.hardware_threads
                            ? "  (oversubscribed)"
                            : "";
-    std::printf("  %7d   %15.2f   %14.2f   %14.2f   %11.2fx%s\n",
-                kThreadCounts[i], 1e6 * b.runs[0][i].grind,
-                1e6 * b.runs[1][i].grind, 1e6 * b.runs[2][i].grind,
-                b.runs[1][i].grind / b.runs[2][i].grind, note);
+    std::printf("  %7d   %16.2f   %16.2f   %11.2fx%s\n", kThreadCounts[i],
+                1e6 * b.runs[0][i].grind, 1e6 * b.runs[1][i].grind,
+                b.runs[0][i].grind / b.runs[1][i].grind, note);
   }
-  std::printf("\n  kernel parity (max |f_naive - f_symmetric|):    %.3g\n",
-              b.max_force_delta);
-  std::printf("  kernel parity (max |f_simd  - f_symmetric|):    %.3g\n",
-              b.max_force_delta_simd);
+  std::printf("\n  backend parity (max |f_%s - f_scalar|):    %.3g\n",
+              isa.c_str(), b.max_force_delta_simd);
 
   const IoBench io = run_io_bench();
   print_io_bench(io);
@@ -497,18 +513,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
   }
 
-  // FLOPs per atom-step from the kernel's analytic counts (2J=8, the
-  // production choice, ~26 neighbors in compressed carbon). The paper's
-  // implied count is for the full-range adjoint scheme, so the
-  // cross-check pins the Naive kernel; the Symmetric (V5-V7) count shows
-  // the work the symmetry-halved production kernel actually executes.
+  // FLOPs per atom-step from the production kernel's analytic counts
+  // (2J=8, ~26 neighbors in compressed carbon): the work the
+  // symmetry-halved kernel executes. The paper's implied count is for a
+  // full-range adjoint scheme, so the two are not expected to match.
   snap::SnapParams p;
   p.twojmax = 8;
-  p.kernel = snap::SnapKernel::Naive;
-  snap::Bispectrum bi(p);
-  const double flops_kernel = bi.flops_adjoint_atom(26);
-  p.kernel = snap::SnapKernel::Symmetric;
-  const double flops_sym = snap::Bispectrum(p).flops_adjoint_atom(26);
+  const double flops_kernel = snap::Bispectrum(p).flops_adjoint_atom(26);
   const double flops_paper = 50.0e15 / (6.21e6 * 4650);
 
   perf::ScalingModel model(perf::MachineModel::summit(), flops_paper);
@@ -516,10 +527,8 @@ int main(int argc, char** argv) {
 
   std::printf("== Headline reproduction ==\n\n");
   std::printf("FLOPs per atom-step (paper, implied):   %.3g\n", flops_paper);
-  std::printf("FLOPs per atom-step (ember analytic):   %.3g  (ratio %.2f)\n",
-              flops_kernel, flops_kernel / flops_paper);
-  std::printf("FLOPs per atom-step (Symmetric kernel): %.3g  (%.2fx less work)\n",
-              flops_sym, flops_kernel / flops_sym);
+  std::printf("FLOPs per atom-step (ember production): %.3g\n",
+              flops_kernel);
   std::printf("\n20 G atoms on 4,650 Summit nodes (model):\n");
   std::printf("  MD performance: %6.2f Matom-steps/node-s   (paper 6.21)\n",
               run.matom_steps_per_node_s());

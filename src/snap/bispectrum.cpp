@@ -31,29 +31,24 @@ Bispectrum::Bispectrum(const SnapParams& params)
   blist_.resize(idx_.num_b());
   dblist_.resize(idx_.num_b());
 
-  if (params_.kernel == SnapKernel::Simd) {
-    // Resolve the backend once per instance: CPUID capability clamped by
-    // EMBER_SIMD. With no vector backend (non-x86, EMBER_SIMD=scalar) the
-    // instance runs the Symmetric code path unchanged.
-    simd_isa_ = simd::choose_isa();
-    simd_ops_ = simd::ops_for(simd_isa_);
-    if (simd_ops_ == nullptr) simd_isa_ = simd::SimdIsa::Scalar;
-  }
+  // Resolve the backend once per instance: CPUID capability clamped by
+  // EMBER_SIMD. With no vector backend (non-x86, EMBER_SIMD=scalar) the
+  // instance runs the scalar half-range loops.
+  simd_isa_ = simd::choose_isa();
+  simd_ops_ = simd::ops_for(simd_isa_);
+  if (simd_ops_ == nullptr) simd_isa_ = simd::SimdIsa::Scalar;
 
-  if (half_kernel()) {
-    const int nh = idx_.u_half_total();
-    utot_half_re_.resize(nh);
-    utot_half_im_.resize(nh);
-    y_half_re_.resize(nh);
-    y_half_im_.resize(nh);
-    for (int d = 0; d < 3; ++d) {
-      du_half_re_[d].resize(nh);
-      du_half_im_[d].resize(nh);
-    }
+  const int nh = idx_.u_half_total();
+  utot_half_re_.resize(nh);
+  utot_half_im_.resize(nh);
+  y_half_re_.resize(nh);
+  y_half_im_.resize(nh);
+  for (int d = 0; d < 3; ++d) {
+    du_half_re_[d].resize(nh);
+    du_half_im_[d].resize(nh);
   }
 
   if (simd_active()) {
-    const int nh = idx_.u_half_total();
     const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
     simd_ck_.resize(static_cast<std::size_t>(simd::kCkSlots) * w);
     simd_wfc_.resize(w);
@@ -210,8 +205,8 @@ void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
   }
 }
 
-void Bispectrum::compute_ui_symmetric(std::span<const Vec3> rij,
-                                      std::span<const double> wj) {
+void Bispectrum::compute_ui_scalar(std::span<const Vec3> rij,
+                                   std::span<const double> wj) {
   const int nh = idx_.u_half_total();
   const int nn = static_cast<int>(rij.size());
   nnbor_cached_ = nn;
@@ -316,8 +311,9 @@ void Bispectrum::compute_ui_simd(std::span<const Vec3> rij,
   }
 
   // Reduce the lane accumulator into the element-major half planes (the
-  // neighbor sum is re-associated across lanes; difference vs Symmetric
-  // is pure summation-order rounding, within the 1e-12 parity budget).
+  // neighbor sum is re-associated across lanes; the difference from the
+  // scalar loop is pure summation-order rounding, within the 1e-12 parity
+  // budget).
   for (int e = 0; e < nh; ++e) {
     double sr = 0.0;
     double si = 0.0;
@@ -343,31 +339,10 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
   EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
                 "weight array size mismatch");
   have_z_ = false;
-
-  if (half_kernel()) {
-    if (simd_active() && !rij.empty()) {
-      compute_ui_simd(rij, wj);
-    } else {
-      compute_ui_symmetric(rij, wj);
-    }
-    return;
-  }
-
-  std::fill(utot_.begin(), utot_.end(), Cplx{});
-
-  // Self contribution: wself on the diagonal of every block.
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    for (int ma = 0; ma <= j; ++ma) {
-      utot_[idx_.u_index(j, ma, ma)] += Cplx{params_.wself, 0.0};
-    }
-  }
-
-  for (std::size_t k = 0; k < rij.size(); ++k) {
-    const CayleyKlein ck = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                         params_.rmin0, params_.switch_flag);
-    u_recursion(ck, /*with_derivatives=*/false);
-    const double w = (wj.empty() ? 1.0 : wj[k]) * ck.fc;
-    for (int i = 0; i < idx_.u_total(); ++i) utot_[i] += w * ulist_[i];
+  if (simd_active() && !rij.empty()) {
+    compute_ui_simd(rij, wj);
+  } else {
+    compute_ui_scalar(rij, wj);
   }
 }
 
@@ -480,51 +455,34 @@ void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs) {
   EMBER_REQUIRE(coeffs.size() == triples.size(),
                 "coefficient array must have one entry per coupling triple");
 
-  if (half_kernel()) {
-    // Half-column Y sweep: the z element of a dropped column follows the
-    // same conjugation mirror as U, so only 2*mb <= t.j is accumulated.
-    std::fill(y_half_re_.begin(), y_half_re_.end(), 0.0);
-    std::fill(y_half_im_.begin(), y_half_im_.end(), 0.0);
-    for (std::size_t i = 0; i < triples.size(); ++i) {
-      const ZTriple& t = triples[i];
-      const double coeff = coeffs[i];
-      if (coeff == 0.0) continue;
-      const int hblk = idx_.u_half_block(t.j);
-      const int hs = t.j / 2 + 1;
-      for (int ma = 0; ma <= t.j; ++ma) {
-        for (int mb = 0; mb <= t.j / 2; ++mb) {
-          const Cplx z = z_element_aligned(t, ma, mb);
-          const int e = hblk + ma * hs + mb;
-          y_half_re_[e] += coeff * z.re;
-          y_half_im_[e] += coeff * z.im;
-        }
-      }
-    }
-    // Keep the full-range ylist_ mirror valid (energy_from_yi and any
-    // full-range dU contraction read it) ...
-    mirror_half_to_full(y_half_re_.data(), y_half_im_.data(), ylist_);
-    // ... then fold the contraction weights into the half planes, so
-    // compute_deidrj is a pure dot product over the half range.
-    const auto& hw = idx_.half_weights();
-    for (int e = 0; e < idx_.u_half_total(); ++e) {
-      y_half_re_[e] *= hw[e];
-      y_half_im_[e] *= hw[e];
-    }
-    return;
-  }
-
-  std::fill(ylist_.begin(), ylist_.end(), Cplx{});
+  // Half-column Y sweep: the z element of a dropped column follows the
+  // same conjugation mirror as U, so only 2*mb <= t.j is accumulated.
+  std::fill(y_half_re_.begin(), y_half_re_.end(), 0.0);
+  std::fill(y_half_im_.begin(), y_half_im_.end(), 0.0);
   for (std::size_t i = 0; i < triples.size(); ++i) {
     const ZTriple& t = triples[i];
     const double coeff = coeffs[i];
     if (coeff == 0.0) continue;
-    Cplx* y = ylist_.data() + idx_.u_block(t.j);
-    const int n = t.j + 1;
-    for (int ma = 0; ma < n; ++ma) {
-      for (int mb = 0; mb < n; ++mb) {
-        y[ma * n + mb] += coeff * z_element(t, ma, mb);
+    const int hblk = idx_.u_half_block(t.j);
+    const int hs = t.j / 2 + 1;
+    for (int ma = 0; ma <= t.j; ++ma) {
+      for (int mb = 0; mb <= t.j / 2; ++mb) {
+        const Cplx z = z_element_aligned(t, ma, mb);
+        const int e = hblk + ma * hs + mb;
+        y_half_re_[e] += coeff * z.re;
+        y_half_im_[e] += coeff * z.im;
       }
     }
+  }
+  // Keep the full-range ylist_ mirror valid (energy_from_yi and the
+  // full-range dU contraction read it) ...
+  mirror_half_to_full(y_half_re_.data(), y_half_im_.data(), ylist_);
+  // ... then fold the contraction weights into the half planes, so
+  // compute_deidrj is a pure dot product over the half range.
+  const auto& hw = idx_.half_weights();
+  for (int e = 0; e < idx_.u_half_total(); ++e) {
+    y_half_re_[e] *= hw[e];
+    y_half_im_[e] *= hw[e];
   }
 }
 
@@ -542,8 +500,6 @@ void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
 }
 
 void Bispectrum::compute_duidrj_cached(int k) {
-  EMBER_REQUIRE(half_kernel(),
-                "compute_duidrj_cached requires the Symmetric or Simd kernel");
   EMBER_REQUIRE(k >= 0 && k < nnbor_cached_,
                 "neighbor index outside the cached compute_ui set");
   const int tj = params_.twojmax;
@@ -552,7 +508,7 @@ void Bispectrum::compute_duidrj_cached(int k) {
   const double* ur = ucache_re_.data() + static_cast<std::size_t>(k) * nh;
   const double* ui = ucache_im_.data() + static_cast<std::size_t>(k) * nh;
   if (simd_active()) {
-    // The Simd compute_ui cached bare U lane-interleaved; gather neighbor
+    // The vector compute_ui cached bare U lane-interleaved; gather neighbor
     // k's lane back into a contiguous plane so the scalar derivative
     // recursion below runs unmodified.
     const int w = simd_ops_->width;
@@ -568,7 +524,7 @@ void Bispectrum::compute_duidrj_cached(int k) {
 
   // Derivative-only recursion over the half range: the bare U values the
   // chain rule needs come from the cache filled by compute_ui, so the
-  // duplicate O(J^3) U recursion of the Naive scheme disappears.
+  // duplicate O(J^3) U recursion of compute_duidrj disappears.
   for (int d = 0; d < 3; ++d) {
     du_half_re_[d][0] = 0.0;
     du_half_im_[d][0] = 0.0;
@@ -671,8 +627,6 @@ Vec3 Bispectrum::compute_deidrj() const {
 }
 
 void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
-  EMBER_REQUIRE(half_kernel(),
-                "compute_deidrj_all requires the Symmetric or Simd kernel");
   EMBER_REQUIRE(static_cast<int>(de.size()) >= nnbor_cached_,
                 "force span smaller than the cached neighbor set");
   if (!simd_active()) {
@@ -788,9 +742,9 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // A complex multiply counts 6 flops, complex add 2, real*complex 2.
 // Constants below were chosen by counting the operations in the loops; the
 // paper's own numbers come from measured FLOP counters, so these serve the
-// same role (converting measured time into a FLOP rate). The Symmetric
-// kernel counts only the half column range it executes, the mirror
-// expansions, and the recursion-free cached dU pass.
+// same role (converting measured time into a FLOP rate). The adjoint
+// counts cover only the half column range the production kernel executes,
+// the mirror expansions, and the recursion-free cached dU pass.
 
 namespace {
 double z_sweep_flops(const SnapIndex& idx, bool canonical_only,
@@ -829,19 +783,13 @@ double z_half_outputs(const SnapIndex& idx) {
 }  // namespace
 
 double Bispectrum::flops_ui(int nnbor) const {
-  if (half_kernel()) {
-    // Also the Simd kernel's count: lanes execute the same recursion, and
-    // padded-lane work is *not* counted — fraction-of-peak readouts stay
-    // honest about useful flops.
-    // mapping ~60, half recursion ~22 + accumulation 4 per half element,
-    // plus the one-off mirror expansion (~2 per full element).
-    return static_cast<double>(nnbor) *
-               (60.0 + 26.0 * static_cast<double>(idx_.u_half_total())) +
-           2.0 * static_cast<double>(idx_.u_total());
-  }
-  // mapping ~60, recursion ~22 per element, accumulation 4 per element
+  // Vector lanes execute the same recursion, and padded-lane work is *not*
+  // counted — fraction-of-peak readouts stay honest about useful flops.
+  // mapping ~60, half recursion ~22 + accumulation 4 per half element,
+  // plus the one-off mirror expansion (~2 per full element).
   return static_cast<double>(nnbor) *
-         (60.0 + 26.0 * static_cast<double>(idx_.u_total()));
+             (60.0 + 26.0 * static_cast<double>(idx_.u_half_total())) +
+         2.0 * static_cast<double>(idx_.u_total());
 }
 
 double Bispectrum::flops_zi() const {
@@ -857,14 +805,10 @@ double Bispectrum::flops_bi() const {
 }
 
 double Bispectrum::flops_yi() const {
-  if (half_kernel()) {
-    // half-column z sweep + accumulation into the half planes (4 per
-    // produced element) + mirror into ylist_ (~2 per full element).
-    return z_sweep_flops(idx_, false, true) + 4.0 * z_half_outputs(idx_) +
-           2.0 * static_cast<double>(idx_.u_total());
-  }
-  // z sweep + accumulation into y (4 flops per produced element)
-  return z_sweep_flops(idx_, false, false) + 4.0 * idx_.z_total();
+  // half-column z sweep + accumulation into the half planes (4 per
+  // produced element) + mirror into ylist_ (~2 per full element).
+  return z_sweep_flops(idx_, false, true) + 4.0 * z_half_outputs(idx_) +
+         2.0 * static_cast<double>(idx_.u_total());
 }
 
 double Bispectrum::flops_duidrj_full() const {
@@ -878,12 +822,9 @@ double Bispectrum::flops_duidrj() const {
     // the dU pass is the bare derivative recursion alone.
     return 48.0 * static_cast<double>(idx_.u_half_total());
   }
-  if (half_kernel()) {
-    // cached scheme: no mapping, no U recursion; derivative recursion
-    // (3 dims * 16) + product rule 12, over the half range only.
-    return (48.0 + 12.0) * static_cast<double>(idx_.u_half_total());
-  }
-  return flops_duidrj_full();
+  // cached scheme: no mapping, no U recursion; derivative recursion
+  // (3 dims * 16) + product rule 12, over the half range only.
+  return (48.0 + 12.0) * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_deidrj() const {
@@ -891,10 +832,7 @@ double Bispectrum::flops_deidrj() const {
     // fused pass: S0 (4) + three Sd dots (12) per half element.
     return 16.0 * static_cast<double>(idx_.u_half_total());
   }
-  if (half_kernel()) {
-    return 12.0 * static_cast<double>(idx_.u_half_total());
-  }
-  return 12.0 * static_cast<double>(idx_.u_total());
+  return 12.0 * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_dbidrj() const {

@@ -3,53 +3,36 @@
 // Per-atom SNAP bispectrum engine.
 //
 // This class owns the flattened U/Z/Y/B scratch arrays for one atom and
-// exposes the computation stages exactly as the paper's Listings 1/5 name
-// them, in two execution paths:
+// exposes the computation stages as the paper's Listings 1/5 name them.
 //
-//   baseline path (Listing 1):
-//     compute_ui -> compute_zi -> compute_bi          (energy/descriptors)
-//                 \-> per neighbor: compute_duidrj -> compute_dbidrj
-//     Z storage is O(J^5); dB is O(J^5) work per neighbor.
+// The production force path is the adjoint kernel (Listing 5, the
+// paper's §IV refactorization):
 //
-//   adjoint path (Listing 5, the paper's §IV refactorization):
-//     compute_ui -> compute_yi(beta)
-//                 \-> per neighbor: compute_duidrj -> compute_deidrj
-//     Y storage is O(J^3); force is O(J^3) work per neighbor.
+//   compute_ui -> compute_yi(beta) -> compute_deidrj_all
 //
-// On top of the path choice, the *kernel* variant selects how the adjoint
-// stages are executed (SnapParams::kernel):
+// Y storage is O(J^3) and force work is O(J^3) per neighbor. It runs the
+// TestSNAP V5-V7 layout: only columns with 2*mb <= j are computed (the
+// rest follow from U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])), each
+// neighbor's bare U list and Cayley-Klein mapping are cached during
+// compute_ui so the force pass runs the derivative-only recursion, and
+// U/Y/dU live in split re/im planes (SoA). On top of that ("V8"), ui and
+// the dU + Y : conj(dU) pass run over blocks of neighbors with explicit
+// SIMD, one neighbor per vector lane (4 for AVX2, 8 for AVX-512; see
+// src/snap/simd/). The backend is chosen at construction by a runtime
+// CPUID probe clamped by EMBER_SIMD=avx512|avx2|scalar. With no vector
+// backend (non-x86 builds, EMBER_SIMD=scalar) the same half-range math
+// runs as plain scalar loops.
 //
-//   SnapKernel::Naive      the original full-range scheme: every (ma, mb)
-//                          element is computed and stored, and each
-//                          neighbor's U recursion runs twice (once in
-//                          compute_ui, again inside compute_duidrj).
-//   SnapKernel::Symmetric  the TestSNAP V5-V7 scheme ported to the
-//                          production path: only columns with 2*mb <= j
-//                          are computed (the rest follow from
-//                          U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])),
-//                          each neighbor's bare U list and Cayley-Klein
-//                          mapping are cached during compute_ui so
-//                          compute_duidrj_cached runs the derivative-only
-//                          recursion, and U/Y/dU live in split re/im
-//                          planes (SoA) so the Y : conj(dU) contractions
-//                          autovectorize. Full-range utot/ylist mirrors
-//                          are still maintained, so the Z/B stages and any
-//                          mixed naive/symmetric stage sequence stay
-//                          valid.
-//   SnapKernel::Simd       the "V8" scheme: the Symmetric half-range math
-//                          executed over blocks of neighbors with explicit
-//                          SIMD, one neighbor per vector lane (4 for AVX2,
-//                          8 for AVX-512; see src/snap/simd/). The backend
-//                          is chosen at construction by a runtime CPUID
-//                          probe clamped by EMBER_SIMD=avx512|avx2|scalar;
-//                          when no vector backend applies (non-x86 builds,
-//                          EMBER_SIMD=scalar) the instance degrades to the
-//                          Symmetric code path exactly, bit for bit.
+// Full-range utot/ylist mirrors are kept, so the full-range reference
+// stages stay valid on any instance:
 //
-// All kernels produce identical results to <= 1e-12 per force component
-// (pinned by tests/snap/test_symmetric_kernel.cpp and
-// tests/snap/test_simd_kernel.cpp); Naive is kept as the correctness
-// oracle.
+//   compute_zi -> compute_bi                  descriptors B (Listing 1)
+//   compute_duidrj -> compute_dbidrj          per-neighbor dB (O(J^5))
+//   compute_duidrj -> compute_deidrj          per-neighbor dE, full range
+//
+// FitSNAP-lite (src/fit/trainer.cpp) and quadratic models need B and dB,
+// and tests use these stages as the parity reference for the production
+// kernel (<= 1e-12 per force component, tests/snap/).
 //
 // The same instance can be reused across atoms (buffers are reset by
 // compute_ui). Instances are NOT thread-safe; create one per thread.
@@ -66,12 +49,6 @@
 
 namespace ember::snap {
 
-enum class SnapKernel {
-  Naive,      // full (ma, mb) range, per-neighbor recursion run twice
-  Symmetric,  // half range + cached neighbor U lists + SoA planes
-  Simd,       // Symmetric math over vector lanes of neighbors (V8)
-};
-
 struct SnapParams {
   int twojmax = 8;        // 2J; paper uses 8 (55 components) and 14 (204)
   double rcut = 4.7;      // neighbor cutoff [A]
@@ -80,7 +57,6 @@ struct SnapParams {
   double wself = 1.0;     // self-contribution weight
   bool switch_flag = true; // apply the smooth cutoff fc(r)
   bool bzero_flag = false; // subtract the isolated-atom bispectrum
-  SnapKernel kernel = SnapKernel::Symmetric;  // production default
 };
 
 // Derivative of the weighted, switched U contribution of one neighbor:
@@ -96,14 +72,13 @@ class Bispectrum {
   [[nodiscard]] const SnapParams& params() const { return params_; }
   [[nodiscard]] const SnapIndex& index() const { return idx_; }
   [[nodiscard]] int num_b() const { return idx_.num_b(); }
-  [[nodiscard]] SnapKernel kernel() const { return params_.kernel; }
 
   // ---- stage kernels ----
 
   // Accumulate Utot over neighbors (positions relative to the central
-  // atom, all with |rij| < rcut) plus the self term. Under the Symmetric
-  // kernel this also fills the per-neighbor Cayley-Klein and bare-U
-  // caches consumed by compute_duidrj_cached.
+  // atom, all with |rij| < rcut) plus the self term. Also fills the
+  // per-neighbor Cayley-Klein and bare-U caches consumed by the force
+  // pass.
   void compute_ui(std::span<const Vec3> rij, std::span<const double> wj);
 
   // Baseline: compute and store every coupled Z matrix (O(J^5) memory).
@@ -125,18 +100,16 @@ class Bispectrum {
 
   // Per-neighbor derivative d(w fc u)/dr for the given displacement;
   // fills the internal dU buffer used by the two force kernels below.
-  // Runs the full-range recursion from scratch (Naive scheme); valid
-  // under either kernel.
+  // Runs the full-range U + dU recursion from scratch (reference path).
   void compute_duidrj(const Vec3& rij, double wj);
 
-  // Symmetric-kernel fast path: derivative recursion for neighbor k of
-  // the last compute_ui call, reusing its cached Cayley-Klein mapping and
-  // bare U list (half range, no U recomputation). Requires
-  // kernel == Symmetric or Simd (under Simd the lane-interleaved bare-U
-  // cache is gathered back into a contiguous scratch first).
+  // Derivative recursion for neighbor k of the last compute_ui call,
+  // reusing its cached Cayley-Klein mapping and bare U list (half range,
+  // no U recomputation). Under a vector backend the lane-interleaved
+  // bare-U cache is gathered back into a contiguous scratch first.
   void compute_duidrj_cached(int k);
 
-  // Number of neighbors cached by the last Symmetric/Simd compute_ui.
+  // Number of neighbors cached by the last compute_ui.
   [[nodiscard]] int cached_neighbors() const { return nnbor_cached_; }
 
   // Blocked dU + dE pass over every neighbor cached by the last
@@ -147,8 +120,8 @@ class Bispectrum {
   // compute_duidrj_cached + compute_deidrj loop.
   void compute_deidrj_all(std::span<Vec3> de);
 
-  // ISA the Simd kernel dispatched to at construction (Scalar when the
-  // kernel is not Simd or no vector backend applies).
+  // ISA this instance dispatched to at construction (Scalar when no
+  // vector backend applies).
   [[nodiscard]] simd::SimdIsa simd_isa() const { return simd_isa_; }
 
   // Adjoint force kernel: dE_i/dr_k = 2 Re sum_j Y_j : conj(dU_j).
@@ -181,14 +154,15 @@ class Bispectrum {
                                       std::span<const double> beta) const;
 
   // ---- analytic FLOP estimates (double-precision mul+add counted as 2) --
-  // All counts reflect the configured kernel: the Symmetric variants count
-  // the halved column range, the cached (recursion-free) dU pass, and the
-  // mirror expansions, so reported FLOP rates stay honest for both.
+  // The adjoint counts reflect the work the production kernel executes:
+  // the halved column range, the cached (recursion-free) dU pass and the
+  // mirror expansions, so reported FLOP rates stay honest. The zi/bi/dbidrj
+  // and _full counts describe the full-range reference stages.
   [[nodiscard]] double flops_ui(int nnbor) const;
   [[nodiscard]] double flops_zi() const;
   [[nodiscard]] double flops_bi() const;
   [[nodiscard]] double flops_yi() const;
-  [[nodiscard]] double flops_duidrj() const;   // per neighbor, adjoint path
+  [[nodiscard]] double flops_duidrj() const;   // per neighbor, cached pass
   [[nodiscard]] double flops_duidrj_full() const;  // full-range recursion
   [[nodiscard]] double flops_deidrj() const;   // per neighbor
   [[nodiscard]] double flops_dbidrj() const;   // per neighbor
@@ -201,26 +175,21 @@ class Bispectrum {
   // fc/weight product rule).
   void u_recursion(const CayleyKlein& ck, bool with_derivatives);
 
-  // Symmetric kernel: bare half-range U recursion into split re/im planes
-  // (compact half layout, u_half_total elements).
+  // Bare half-range U recursion into split re/im planes (compact half
+  // layout, u_half_total elements).
   void u_half_recursion(const CayleyKlein& ck, double* ur, double* ui) const;
 
-  // Symmetric kernel: accumulate + cache + mirror variant of compute_ui.
-  void compute_ui_symmetric(std::span<const Vec3> rij,
-                            std::span<const double> wj);
+  // Scalar compute_ui: accumulate + cache + mirror.
+  void compute_ui_scalar(std::span<const Vec3> rij,
+                         std::span<const double> wj);
 
-  // Simd kernel: lane-blocked variant; fills the lane-interleaved bare-U
-  // cache and reduces the lane accumulator into the half planes.
+  // Vector compute_ui: lane-blocked variant; fills the lane-interleaved
+  // bare-U cache and reduces the lane accumulator into the half planes.
   void compute_ui_simd(std::span<const Vec3> rij, std::span<const double> wj);
 
-  // True when this instance dispatched to a vector backend (kernel ==
-  // Simd and the CPU/binary/EMBER_SIMD resolution picked AVX2/AVX-512).
+  // True when this instance dispatched to a vector backend (the
+  // CPU/binary/EMBER_SIMD resolution picked AVX2/AVX-512).
   [[nodiscard]] bool simd_active() const { return simd_ops_ != nullptr; }
-
-  // True for the kernels built on the half-range SoA planes.
-  [[nodiscard]] bool half_kernel() const {
-    return params_.kernel != SnapKernel::Naive;
-  }
 
   // Pack lane l of the block starting at neighbor k0 into simd_ck_ /
   // simd_wfc_ (padded lanes repeat the last active neighbor, weight 0).
@@ -233,8 +202,8 @@ class Bispectrum {
 
   // z-matrix element (row ma, col mb) of coupling triple t, from utot_.
   [[nodiscard]] Cplx z_element(const ZTriple& t, int ma, int mb) const;
-  // Same value through the unit-stride aligned CG blocks (Symmetric
-  // kernel's Y sweep).
+  // Same value through the unit-stride aligned CG blocks (the production
+  // Y sweep).
   [[nodiscard]] Cplx z_element_aligned(const ZTriple& t, int ma,
                                        int mb) const;
 
@@ -257,13 +226,13 @@ class Bispectrum {
   std::vector<double> bzero_;
   bool have_z_ = false;
 
-  // ---- Symmetric/Simd-kernel state (half layout, SoA planes) ----
+  // ---- adjoint-kernel state (half layout, SoA planes) ----
   // All planes are 64-byte aligned (aligned_vector) so the V8 backend can
-  // issue aligned vector loads; the Symmetric scalar code is indifferent.
+  // issue aligned vector loads; the scalar code is indifferent.
   std::vector<CayleyKlein> ck_cache_;   // per-neighbor mapping (V7)
   std::vector<double> wj_cache_;        // per-neighbor weights
-  aligned_vector<double> ucache_re_;    // bare U cache (V7): Symmetric
-  aligned_vector<double> ucache_im_;    //   nnbor x nh element-major, Simd
+  aligned_vector<double> ucache_re_;    // bare U cache (V7): scalar
+  aligned_vector<double> ucache_im_;    //   nnbor x nh element-major, vector
                                         //   nblock x nh x width interleaved
   aligned_vector<double> utot_half_re_; // half-range accumulation (V5/V6)
   aligned_vector<double> utot_half_im_;
@@ -277,9 +246,9 @@ class Bispectrum {
   // (cached) or the full dulist_.
   bool du_half_valid_ = false;
 
-  // ---- Simd-kernel state (V8) ----
+  // ---- vector-backend state (V8) ----
   simd::SimdIsa simd_isa_ = simd::SimdIsa::Scalar;
-  const simd::SimdOps* simd_ops_ = nullptr;  // nullptr => Symmetric path
+  const simd::SimdOps* simd_ops_ = nullptr;  // nullptr => scalar loops
   aligned_vector<double> simd_ck_;       // kCkSlots x width lane-packed CK
   aligned_vector<double> simd_wfc_;      // wj * fc per lane (0 when padded)
   aligned_vector<double> simd_acc_re_;   // lane-interleaved Utot accum

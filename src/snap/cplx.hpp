@@ -8,7 +8,7 @@
 // need; inputs are always finite by construction.
 //
 // CplxSoaView / CplxSoaConstView are span-based views over split re/im
-// planes (structure-of-arrays): the Symmetric kernel stores U, Y, and dU
+// planes (structure-of-arrays): the production kernel stores U, Y, and dU
 // as contiguous double planes so the Y : conj(dU) contractions reduce to
 // unit-stride real dot products that autovectorize.
 

@@ -2,10 +2,11 @@
 
 // Runtime ISA dispatch for the SNAP "V8" SIMD kernels.
 //
-// The Simd kernel variant batches the Wigner-U recursion and the Y : dU*
-// adjoint contraction over blocks of neighbors, one neighbor per vector
-// lane (4 for AVX2, 8 for AVX-512). Which backend runs is decided at
-// runtime:
+// The production SNAP kernel batches the Wigner-U recursion and the
+// Y : dU* adjoint contraction over blocks of neighbors, one neighbor per
+// vector lane (4 for AVX2, 8 for AVX-512). Which backend runs is decided
+// at runtime, once per Bispectrum construction; EMBER_SIMD is the only
+// knob:
 //
 //   max_supported_isa()  CPUID probe of the executing machine, clamped to
 //                        the backends this binary was built with (non-x86
@@ -16,9 +17,9 @@
 //                        throw. The override can only lower the ISA —
 //                        requesting AVX-512 on an AVX2 host yields AVX2.
 //
-// Scalar means "no SimdOps table": Bispectrum then executes the V7
-// Symmetric code path unchanged, so EMBER_SIMD=scalar is bitwise
-// identical to SnapKernel::Symmetric (pinned by
+// Scalar means "no SimdOps table": Bispectrum then executes the same
+// half-range math as plain scalar loops (the TestSNAP V7-style cached
+// scheme; its parity with every vector backend is pinned by
 // tests/snap/test_simd_kernel.cpp).
 //
 // This header is intrinsics-free; immintrin.h is confined to the
@@ -28,7 +29,7 @@
 namespace ember::snap::simd {
 
 enum class SimdIsa {
-  Scalar,  // no vector backend; Symmetric code path runs
+  Scalar,  // no vector backend; scalar half-range loops run
   Avx2,    // 4 neighbor lanes per 256-bit register
   Avx512,  // 8 neighbor lanes per 512-bit register
 };
@@ -48,7 +49,7 @@ enum class SimdIsa {
 struct SimdOps;
 
 // Kernel table for a vector ISA, or nullptr for Scalar (callers fall
-// back to the Symmetric path).
+// back to the scalar loops).
 [[nodiscard]] const SimdOps* ops_for(SimdIsa isa);
 
 }  // namespace ember::snap::simd

@@ -61,7 +61,7 @@ struct UiBlockArgs {
 //   out[d * width + l] = w_l * (dfc_dl * S0_l + fc_l * Sd_l)
 // with S0 = sum_e y[e] . u[e] and Sd = sum_e y[e] . du_d[e] over the
 // (weight-folded) half-range Y planes — algebraically identical to the
-// Symmetric kernel's product-rule pass followed by the plane dot product.
+// scalar product-rule pass followed by the plane dot product.
 struct DeiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;

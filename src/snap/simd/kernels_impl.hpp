@@ -16,11 +16,11 @@
 //   operators *, +, -  (element-wise)
 //
 // The loop structure deliberately mirrors Bispectrum::u_half_recursion and
-// compute_duidrj_cached statement by statement — the scalar Symmetric code
-// is the reference; only the innermost arithmetic is widened across the
-// neighbor lanes. Keeping the association order identical per lane is what
-// holds Simd-vs-Symmetric parity at <= 1e-12 (the residual difference is
-// pure FMA contraction rounding).
+// compute_duidrj_cached statement by statement — the scalar code is the
+// reference; only the innermost arithmetic is widened across the neighbor
+// lanes. Keeping the association order identical per lane is what holds
+// vector-vs-scalar parity at <= 1e-12 (the residual difference is pure
+// FMA contraction rounding).
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).

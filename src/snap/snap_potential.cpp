@@ -1,7 +1,10 @@
 #include "snap_potential.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -15,6 +18,22 @@ namespace {
 // paper's carbon systems (~26 neighbors at 2J=8 cutoffs) so steady state
 // never reallocates.
 constexpr std::size_t kNeighborReserve = 128;
+
+[[noreturn]] void model_error(const std::string& path, int line,
+                              const std::string& what) {
+  throw Error(path + ":" + std::to_string(line) + ": " + what);
+}
+
+// Whole-token numeric parse: false on an empty token, trailing characters
+// or (for doubles) a non-finite value.
+template <typename T>
+bool parse_token(const std::string& tok, T& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
+  return true;
+}
 }  // namespace
 
 void SnapModel::effective_beta(std::span<const double> b,
@@ -58,10 +77,6 @@ void SnapModel::save(const std::string& path) const {
   os << "wself " << params.wself << '\n';
   os << "switch " << (params.switch_flag ? 1 : 0) << '\n';
   os << "bzero " << (params.bzero_flag ? 1 : 0) << '\n';
-  const char* kernel_name = "naive";
-  if (params.kernel == SnapKernel::Symmetric) kernel_name = "symmetric";
-  if (params.kernel == SnapKernel::Simd) kernel_name = "simd";
-  os << "kernel " << kernel_name << '\n';
   os << "beta0 " << beta0 << '\n';
   os << "ncoeff " << beta.size() << '\n';
   for (const double b : beta) os << b << '\n';
@@ -74,50 +89,84 @@ SnapModel SnapModel::load(const std::string& path) {
   std::ifstream is(path);
   EMBER_REQUIRE(is.good(), "cannot open " + path);
   SnapModel m;
-  std::string line;
   std::size_t ncoeff = 0;
+  std::size_t nquad = 0;
+  // Coefficient block being filled by the lines after `ncoeff`/`nquad`.
+  std::vector<double>* block = nullptr;
+  std::size_t block_size = 0;
+  std::string line;
+  int lineno = 0;
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
+    ++lineno;
     std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "twojmax") ls >> m.params.twojmax;
-    else if (key == "rcut") ls >> m.params.rcut;
-    else if (key == "rmin0") ls >> m.params.rmin0;
-    else if (key == "rfac0") ls >> m.params.rfac0;
-    else if (key == "wself") ls >> m.params.wself;
-    else if (key == "switch") { int v; ls >> v; m.params.switch_flag = v != 0; }
-    else if (key == "bzero") { int v; ls >> v; m.params.bzero_flag = v != 0; }
-    else if (key == "kernel") {
-      std::string v;
-      ls >> v;
-      EMBER_REQUIRE(v == "symmetric" || v == "naive" || v == "simd",
-                    "unknown kernel '" + v + "' in " + path);
-      if (v == "simd") m.params.kernel = SnapKernel::Simd;
-      else if (v == "symmetric") m.params.kernel = SnapKernel::Symmetric;
-      else m.params.kernel = SnapKernel::Naive;
+    std::vector<std::string> tok;
+    for (std::string t; ls >> t && t[0] != '#';) tok.push_back(t);
+    if (tok.empty()) continue;
+
+    if (block != nullptr && block->size() < block_size) {
+      for (const std::string& t : tok) {
+        double v = 0.0;
+        if (!parse_token(t, v)) {
+          model_error(path, lineno, "bad coefficient '" + t + "'");
+        }
+        if (block->size() == block_size) {
+          model_error(path, lineno, "more coefficients than declared");
+        }
+        block->push_back(v);
+      }
+      continue;
     }
-    else if (key == "beta0") ls >> m.beta0;
+
+    const std::string& key = tok[0];
+    if (tok.size() != 2) {
+      model_error(path, lineno, "expected '" + key + " <value>'");
+    }
+    const std::string& val = tok[1];
+    const auto value = [&](auto& out) {
+      if (!parse_token(val, out)) {
+        model_error(path, lineno, "bad value '" + val + "' for " + key);
+      }
+    };
+    const auto flag = [&](bool& out) {
+      int v = 0;
+      value(v);
+      if (v != 0 && v != 1) model_error(path, lineno, key + " must be 0 or 1");
+      out = v == 1;
+    };
+    if (key == "twojmax") value(m.params.twojmax);
+    else if (key == "rcut") value(m.params.rcut);
+    else if (key == "rmin0") value(m.params.rmin0);
+    else if (key == "rfac0") value(m.params.rfac0);
+    else if (key == "wself") value(m.params.wself);
+    else if (key == "switch") flag(m.params.switch_flag);
+    else if (key == "bzero") flag(m.params.bzero_flag);
+    else if (key == "kernel") {
+      // Older files name a kernel variant; there is one kernel now, so
+      // the line is accepted and ignored.
+      if (val != "naive" && val != "symmetric" && val != "simd") {
+        model_error(path, lineno, "unknown kernel '" + val + "'");
+      }
+    } else if (key == "beta0") value(m.beta0);
     else if (key == "ncoeff") {
-      ls >> ncoeff;
-      m.beta.reserve(ncoeff);
-      double v = 0.0;
-      while (m.beta.size() < ncoeff && is >> v) m.beta.push_back(v);
+      value(ncoeff);
+      block = &m.beta;
+      block_size = ncoeff;
     } else if (key == "nquad") {
-      std::size_t nquad = 0;
-      ls >> nquad;
-      m.alpha.reserve(nquad);
-      double v = 0.0;
-      while (m.alpha.size() < nquad && is >> v) m.alpha.push_back(v);
+      value(nquad);
+      block = &m.alpha;
+      block_size = nquad;
+    } else {
+      model_error(path, lineno, "unknown key '" + key + "'");
     }
   }
-  EMBER_REQUIRE(m.beta.size() == ncoeff && ncoeff > 0,
-                "model file truncated: " + path);
+  if (ncoeff == 0 || m.beta.size() != ncoeff || m.alpha.size() != nquad) {
+    model_error(path, lineno, "model file truncated");
+  }
   return m;
 }
 
-SnapPotential::SnapPotential(SnapModel model, Path path)
-    : model_(std::move(model)), path_(path), bi_(model_.params) {
+SnapPotential::SnapPotential(SnapModel model)
+    : model_(std::move(model)), bi_(model_.params) {
   EMBER_REQUIRE(static_cast<int>(model_.beta.size()) == bi_.num_b(),
                 "SNAP model has wrong number of coefficients");
   EMBER_REQUIRE(model_.alpha.empty() ||
@@ -135,18 +184,6 @@ SnapPotential::SnapPotential(SnapModel model, Path path)
   jlist_.reserve(kNeighborReserve);
   beta_eff_.reserve(model_.beta.size());
   de_.reserve(kNeighborReserve);
-
-  if (model_.params.kernel == SnapKernel::Simd) {
-    // Per-ISA stage timing: which backend the dispatcher picked is runtime
-    // state, so the counters are registered here (once) under the resolved
-    // ISA name, and a gauge exposes the lane width for roofline math.
-    const std::string isa = simd::to_string(bi_.simd_isa());
-    auto& reg = obs::Registry::global();
-    isa_ui_seconds_ = &reg.counter("snap.simd." + isa + ".ui_seconds");
-    isa_dei_seconds_ = &reg.counter("snap.simd." + isa + ".dei_seconds");
-    reg.gauge("snap.simd.lane_width")
-        .set(static_cast<double>(simd::lane_width(bi_.simd_isa())));
-  }
 }
 
 namespace {
@@ -163,21 +200,19 @@ struct SnapThreadScratch {
 };
 
 // Kernel-stage counters, populated only while obs::kernel_timing_enabled()
-// ("trace on"). The dei bucket splits by kernel so the cached symmetric
-// derivative path and the full recursion stay distinguishable in dumps.
+// ("trace on").
 struct SnapStageMetrics {
   obs::Counter& ui_seconds;
   obs::Counter& yi_seconds;
   obs::Counter& dei_seconds;
-  obs::Counter& dei_cached_seconds;
   obs::Counter& atoms;
   obs::Counter& neighbors;
   static SnapStageMetrics& get() {
     auto& r = obs::Registry::global();
     static SnapStageMetrics m{
-        r.counter("snap.ui_seconds"),     r.counter("snap.yi_seconds"),
-        r.counter("snap.dei_seconds"),    r.counter("snap.dei_cached_seconds"),
-        r.counter("snap.atoms"),          r.counter("snap.neighbors")};
+        r.counter("snap.ui_seconds"), r.counter("snap.yi_seconds"),
+        r.counter("snap.dei_seconds"), r.counter("snap.atoms"),
+        r.counter("snap.neighbors")};
     return m;
   }
 };
@@ -218,7 +253,6 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
       de_buf = &th.de;
       f = std::span<Vec3>(s.f);
     }
-    const bool cached_du = bi->kernel() != SnapKernel::Naive;
     // Stage timing is opt-in ("trace on" / set_kernel_timing): the flag is
     // read once per chunk, stage seconds accumulate in chunk-local doubles
     // and hit the sharded counters once per chunk, so the cost when off is
@@ -246,92 +280,47 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
       atoms += 1;
       neighbors += nn;
 
-      if (path_ == Path::Adjoint) {
-        if (detail) stage.reset();
-        if (model_.quadratic()) {
-          // Quadratic models need the descriptors before Y: dE/dB depends
-          // on B itself, so compute B and feed the adjoint the per-atom
-          // effective coefficients beta + alpha B (LAMMPS quadraticflag).
-          bi->compute_zi();
-          bi->compute_bi();
-          model_.effective_beta(bi->blist(), *beta_eff);
-          bi->compute_yi(*beta_eff);
-          s.energy += model_.site_energy(bi->blist());
-        } else {
-          // Linear: the per-triple coefficient fold was done once at
-          // construction.
-          bi->compute_yi_coeffs(y_coeff_);
-          s.energy += bi->energy_from_yi(model_.beta0, model_.beta);
-        }
-        if (detail) {
-          yi_s += stage.seconds();
-          stage.reset();
-        }
-        if (cached_du) {
-          // Blocked dU + dE pass (Symmetric: per-neighbor cached scheme;
-          // Simd: lane-vectorized blocks of neighbors).
-          de_buf->resize(nn);
-          bi->compute_deidrj_all(*de_buf);
-          for (int m = 0; m < nn; ++m) {
-            const Vec3 de = (*de_buf)[m];  // dE_i/dr_k
-            f[(*jlist)[m]] -= de;
-            f[i] += de;
-            s.virial += -dot((*rij)[m], de);
-          }
-        } else {
-          for (int m = 0; m < nn; ++m) {
-            bi->compute_duidrj((*rij)[m], 1.0);
-            const Vec3 de = bi->compute_deidrj();  // dE_i/dr_k
-            f[(*jlist)[m]] -= de;
-            f[i] += de;
-            s.virial += -dot((*rij)[m], de);
-          }
-        }
-        if (detail) dei_s += stage.seconds();
-        s.flops += bi->flops_adjoint_atom(nn);
-      } else {
-        if (detail) stage.reset();
+      if (detail) stage.reset();
+      if (model_.quadratic()) {
+        // Quadratic models need the descriptors before Y: dE/dB depends
+        // on B itself, so compute B and feed the adjoint the per-atom
+        // effective coefficients beta + alpha B (LAMMPS quadraticflag).
         bi->compute_zi();
         bi->compute_bi();
-        s.energy += model_.site_energy(bi->blist());
         model_.effective_beta(bi->blist(), *beta_eff);
-        if (detail) {
-          yi_s += stage.seconds();
-          stage.reset();
-        }
-        for (int m = 0; m < nn; ++m) {
-          // dB needs the full-range dU list (compute_dbidrj contracts
-          // every Z element), so the baseline path always runs the
-          // full recursion regardless of kernel.
-          bi->compute_duidrj((*rij)[m], 1.0);
-          bi->compute_dbidrj();
-          Vec3 de;
-          for (int l = 0; l < bi->num_b(); ++l) {
-            de += (*beta_eff)[l] * bi->dblist()[l];
-          }
-          f[(*jlist)[m]] -= de;
-          f[i] += de;
-          s.virial += -dot((*rij)[m], de);
-        }
-        if (detail) dei_s += stage.seconds();
-        s.flops += bi->flops_ui(nn) + bi->flops_zi() + bi->flops_bi() +
-                   nn * (bi->flops_duidrj_full() + bi->flops_dbidrj());
+        bi->compute_yi(*beta_eff);
+        s.energy += model_.site_energy(bi->blist());
+      } else {
+        // Linear: the per-triple coefficient fold was done once at
+        // construction.
+        bi->compute_yi_coeffs(y_coeff_);
+        s.energy += bi->energy_from_yi(model_.beta0, model_.beta);
       }
+      if (detail) {
+        yi_s += stage.seconds();
+        stage.reset();
+      }
+      // Blocked dU + dE pass over the neighbors cached by compute_ui
+      // (lane-vectorized blocks under a vector backend).
+      de_buf->resize(nn);
+      bi->compute_deidrj_all(*de_buf);
+      for (int m = 0; m < nn; ++m) {
+        const Vec3 de = (*de_buf)[m];  // dE_i/dr_k
+        f[(*jlist)[m]] -= de;
+        f[i] += de;
+        s.virial += -dot((*rij)[m], de);
+      }
+      if (detail) dei_s += stage.seconds();
+      s.flops += bi->flops_adjoint_atom(nn);
     }
 
     if (detail) {
       SnapStageMetrics& m = SnapStageMetrics::get();
       m.ui_seconds.add(ui_s);
       m.yi_seconds.add(yi_s);
-      (cached_du && path_ == Path::Adjoint ? m.dei_cached_seconds
-                                           : m.dei_seconds)
-          .add(dei_s);
+      m.dei_seconds.add(dei_s);
       m.atoms.add(static_cast<double>(atoms));
       m.neighbors.add(static_cast<double>(neighbors));
-      if (isa_ui_seconds_ != nullptr) {
-        isa_ui_seconds_->add(ui_s);
-        isa_dei_seconds_->add(dei_s);
-      }
     }
   });
 

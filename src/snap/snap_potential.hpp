@@ -2,12 +2,12 @@
 
 // SNAP as an MD PairPotential.
 //
-// Wraps the Bispectrum kernel over a neighbor list. The execution path is
-// selectable so benchmarks can contrast the paper's two algorithms:
-//   Path::Adjoint  — compute_ui -> compute_yi -> per-neighbor dE (Listing 5)
-//   Path::Baseline — compute_ui -> compute_zi -> per-neighbor dB (Listing 1)
-// Both produce identical forces (tests pin this); the adjoint path is the
-// production default.
+// Wraps the Bispectrum kernel over a neighbor list and runs the paper's
+// adjoint force path (Listing 5): compute_ui -> compute_yi -> the blocked
+// per-neighbor dE pass, on whichever SIMD backend Bispectrum dispatched to
+// (EMBER_SIMD can lower it). The Listing-1 baseline (Z storage and
+// per-neighbor dB) lives in TestSNAP V0 and in the tests' reference
+// loops, not here.
 
 #include <memory>
 #include <string>
@@ -15,10 +15,6 @@
 
 #include "md/potential.hpp"
 #include "snap/bispectrum.hpp"
-
-namespace ember::obs {
-class Counter;
-}  // namespace ember::obs
 
 namespace ember::snap {
 
@@ -45,21 +41,21 @@ struct SnapModel {
   [[nodiscard]] double site_energy(std::span<const double> b) const;
 
   void save(const std::string& path) const;
+  // Parses the `key value` text format written by save. An unknown key, a
+  // value that does not parse, or a short coefficient block throws
+  // ember::Error naming path:line. A legacy `kernel naive|symmetric|simd`
+  // line is accepted and ignored.
   static SnapModel load(const std::string& path);
 };
 
 class SnapPotential final : public md::PairPotential {
  public:
-  enum class Path { Adjoint, Baseline };
-
-  explicit SnapPotential(SnapModel model, Path path = Path::Adjoint);
+  explicit SnapPotential(SnapModel model);
 
   [[nodiscard]] double cutoff() const override {
     return model_.params.rcut;
   }
-  [[nodiscard]] const char* name() const override {
-    return path_ == Path::Adjoint ? "snap/adjoint" : "snap/baseline";
-  }
+  [[nodiscard]] const char* name() const override { return "snap"; }
 
   // Threaded over atom blocks: worker 0 reuses the member kernel/scratch
   // (the exact serial path), workers >= 1 get a private Bispectrum +
@@ -71,15 +67,12 @@ class SnapPotential final : public md::PairPotential {
 
   [[nodiscard]] const SnapModel& model() const { return model_; }
   [[nodiscard]] Bispectrum& kernel() { return bi_; }
-  void set_path(Path path) { path_ = path; }
-  [[nodiscard]] Path path() const { return path_; }
 
   // FLOPs executed by the last compute() call (analytic estimate).
   [[nodiscard]] double last_flops() const { return last_flops_; }
 
  private:
   SnapModel model_;
-  Path path_;
   Bispectrum bi_;
   double last_flops_ = 0.0;
   // Linear models: per-triple adjoint coefficients beta[idxb] * beta_scale,
@@ -90,11 +83,7 @@ class SnapPotential final : public md::PairPotential {
   std::vector<Vec3> rij_;
   std::vector<int> jlist_;
   std::vector<double> beta_eff_;
-  std::vector<Vec3> de_;  // blocked dE_i/dr_k results (half kernels)
-  // Per-ISA stage counters ("snap.simd.<isa>.*"), registered once at
-  // construction when the kernel is Simd; null otherwise.
-  obs::Counter* isa_ui_seconds_ = nullptr;
-  obs::Counter* isa_dei_seconds_ = nullptr;
+  std::vector<Vec3> de_;  // blocked dE_i/dr_k results
 };
 
 }  // namespace ember::snap

@@ -683,7 +683,7 @@ void TestSnap::run_adjoint(int begin, int end) {
 
 // ---- V4..V7: fused / half-range / SoA / cached-neighbor kernels -----------
 // The half-column contraction weight is the shared ember::snap::half_weight
-// from indexing.hpp (also used by the production Symmetric kernel).
+// from indexing.hpp (also used by the production kernel).
 
 void TestSnap::run_fused(int level, int begin, int end) {
   const bool half = level >= 1;

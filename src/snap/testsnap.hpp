@@ -29,6 +29,7 @@
 // run() reports the grind time in the paper's figure of merit.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/vec3.hpp"
@@ -67,6 +68,13 @@ class TestSnap {
   [[nodiscard]] const SnapParams& params() const { return params_; }
   [[nodiscard]] int natoms() const { return natoms_; }
   [[nodiscard]] int nnbor() const { return nnbor_; }
+  // Neighborhood i (nnbor displacements) and the coefficients every
+  // variant contracts with; read-only views for parity checks.
+  [[nodiscard]] std::span<const Vec3> neighborhood(int i) const {
+    return {rij_.data() + static_cast<std::size_t>(i) * nnbor_,
+            static_cast<std::size_t>(nnbor_)};
+  }
+  [[nodiscard]] std::span<const double> beta() const { return beta_; }
 
   // Execute one full force computation with the given variant; returns
   // elapsed seconds. Fills forces() with the per-atom sum of dE_i/dr_k.

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "app/interpreter.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "../snap/scoped_simd_env.hpp"
 
 namespace ember::app {
 namespace {
@@ -441,28 +443,32 @@ TEST(Interpreter, ProductionStyleProtocol) {
   EXPECT_LT(interp.simulation()->system().box().length(0), 7.4);
 }
 
-TEST(Interpreter, SnapKernelCommandSelectsVariantAndKeepsParity) {
-  // Write a small linear SNAP model the script can load.
+TEST(Interpreter, SnapPotentialRunsTheDispatchedKernel) {
+  // Write a small linear SNAP model the script can load, with the kernel
+  // line older model files carry (accepted and ignored).
   const std::string model_path = "interp_snap_model.txt";
   {
     snap::SnapParams p;
     p.twojmax = 4;
     p.rcut = 2.0;
-    p.kernel = snap::SnapKernel::Symmetric;
     snap::SnapModel m;
     m.params = p;
     m.beta.assign(snap::SnapIndex(p.twojmax).num_b(), 0.05);
     m.beta0 = -1.0;
     m.save(model_path);
+    std::ofstream(model_path, std::ios::app) << "kernel symmetric\n";
   }
 
-  const auto run_protocol = [&](const std::string& kernel_cmd) {
+  // simd_env: EMBER_SIMD value for the run, or nullptr for the dispatched
+  // backend (the environment as the test was started).
+  const auto run_protocol = [&](const char* simd_env) {
+    std::optional<snap::ScopedSimdEnv> env;
+    if (simd_env != nullptr) env.emplace(simd_env);
     std::ostringstream out;
     Interpreter interp(out);
     interp.run_script("mass 12.011\n"
                       "lattice diamond 3.567 repeat 2 2 2\n"
-                      "potential snap " + model_path + "\n" +
-                      kernel_cmd +
+                      "potential snap " + model_path + "\n"
                       "thermalize 300 seed 4\n"
                       "timestep 0.0005\n"
                       "run 10\n");
@@ -470,22 +476,13 @@ TEST(Interpreter, SnapKernelCommandSelectsVariantAndKeepsParity) {
         interp.simulation()->total_energy(), out.str());
   };
 
-  const auto [e_sym, out_sym] = run_protocol("snap_kernel symmetric\n");
-  const auto [e_simd, out_simd] = run_protocol("snap_kernel simd\n");
-  EXPECT_NE(out_sym.find("snap_kernel symmetric"), std::string::npos);
-  // The simd acknowledgement names the dispatched ISA.
-  EXPECT_NE(out_simd.find("snap_kernel simd (dispatch "), std::string::npos);
-  // Same trajectory on either kernel (forces agree to ~1e-12 per step).
-  EXPECT_NEAR(e_sym, e_simd, 1e-8 * std::abs(e_sym));
+  const auto [e_scalar, out_scalar] = run_protocol("scalar");
+  const auto [e_simd, out_simd] = run_protocol(nullptr);
+  EXPECT_NE(out_simd.find("potential snap (rcut 2)"), std::string::npos)
+      << out_simd;
+  // Same trajectory on either backend (forces agree to ~1e-12 per step).
+  EXPECT_NEAR(e_scalar, e_simd, 1e-8 * std::abs(e_scalar));
 
-  // The override also applies to a later `potential snap` load.
-  std::ostringstream out;
-  Interpreter interp(out);
-  interp.execute("snap_kernel simd");
-  interp.execute("potential snap " + model_path);
-  EXPECT_NE(out.str().find("snap/adjoint"), std::string::npos);
-
-  EXPECT_THROW(interp.execute("snap_kernel quantum"), Error);
   std::remove(model_path.c_str());
 }
 

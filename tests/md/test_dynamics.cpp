@@ -5,13 +5,17 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "md/computes.hpp"
 #include "md/io.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
 #include "ref/pair_lj.hpp"
+#include "snap/simd/dispatch.hpp"
 #include "snap/snap_potential.hpp"
+#include "../snap/scoped_simd_env.hpp"
 
 namespace ember::md {
 namespace {
@@ -79,16 +83,15 @@ TEST(Dynamics, ThreadedNveDriftMatchesSerial) {
 }
 
 TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
-  // The Symmetric (half-range, cached-dU) SNAP kernel must integrate the
-  // same NVE trajectory as the Naive oracle: per-step force parity is
+  // The dispatched SIMD backend must integrate the same NVE trajectory as
+  // the scalar lowering (EMBER_SIMD=scalar): per-step force parity is
   // <= 1e-12, so over a short run positions track tightly and the energy
-  // drift of the two kernels is indistinguishable.
-  auto make_snap_sim = [](snap::SnapKernel kernel) {
+  // drift of the two backends is indistinguishable.
+  auto make_snap_sim = [] {
     snap::SnapParams p;
     p.twojmax = 6;
     p.rcut = 2.6;
     p.bzero_flag = true;
-    p.kernel = kernel;
     snap::SnapModel m;
     m.params = p;
     m.beta.resize(snap::SnapIndex(p.twojmax).num_b());
@@ -107,8 +110,12 @@ TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
     return Simulation(std::move(sys), pot, 0.0005, 0.3, 43);
   };
 
-  auto drift_and_run = [&](snap::SnapKernel kernel, std::vector<Vec3>& x) {
-    Simulation sim = make_snap_sim(kernel);
+  // simd_env: EMBER_SIMD value for the run, or nullptr for the dispatched
+  // backend (the environment as the test was started).
+  auto drift_and_run = [&](const char* simd_env, std::vector<Vec3>& x) {
+    std::optional<snap::ScopedSimdEnv> env;
+    if (simd_env != nullptr) env.emplace(simd_env);
+    Simulation sim = make_snap_sim();
     sim.setup();
     const double e0 = sim.total_energy();
     sim.run(100);
@@ -116,18 +123,20 @@ TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
     x.assign(sys.x.begin(), sys.x.begin() + sys.nlocal());
     return std::abs(sim.total_energy() - e0) / sys.nlocal();
   };
-  std::vector<Vec3> x_naive;
-  std::vector<Vec3> x_sym;
-  const double drift_naive = drift_and_run(snap::SnapKernel::Naive, x_naive);
-  const double drift_sym = drift_and_run(snap::SnapKernel::Symmetric, x_sym);
+  std::vector<Vec3> x_scalar;
+  std::vector<Vec3> x_simd;
+  const double drift_scalar = drift_and_run("scalar", x_scalar);
+  const double drift_simd = drift_and_run(nullptr, x_simd);
+  SCOPED_TRACE(std::string("dispatched ISA: ") +
+               snap::simd::to_string(snap::simd::choose_isa()));
 
-  EXPECT_LT(drift_naive, 5e-5);
-  EXPECT_LT(drift_sym, 5e-5);
-  EXPECT_NEAR(drift_sym, drift_naive, 1e-9);
-  ASSERT_EQ(x_naive.size(), x_sym.size());
-  for (std::size_t i = 0; i < x_naive.size(); ++i) {
+  EXPECT_LT(drift_scalar, 5e-5);
+  EXPECT_LT(drift_simd, 5e-5);
+  EXPECT_NEAR(drift_simd, drift_scalar, 1e-9);
+  ASSERT_EQ(x_scalar.size(), x_simd.size());
+  for (std::size_t i = 0; i < x_scalar.size(); ++i) {
     for (int d = 0; d < 3; ++d) {
-      EXPECT_NEAR(x_naive[i][d], x_sym[i][d], 1e-8) << "atom " << i;
+      EXPECT_NEAR(x_scalar[i][d], x_simd[i][d], 1e-8) << "atom " << i;
     }
   }
 }

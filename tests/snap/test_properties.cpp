@@ -10,6 +10,7 @@
 #include "common/timer.hpp"
 #include "snap/bispectrum.hpp"
 #include "snap/wigner.hpp"
+#include "scoped_simd_env.hpp"
 
 namespace ember::snap {
 namespace {
@@ -183,7 +184,12 @@ TEST(SnapScaling, UiCostIsLinearInNeighbors) {
   SnapParams p;
   p.twojmax = 8;
   p.rcut = 4.2;
+  // The per-neighbor cost law is a property of the scalar lowering: a
+  // vector backend pads each call to whole blocks of lanes (10 neighbors
+  // cost 16 on AVX-512), so its cost is linear in blocks, not neighbors.
+  ScopedSimdEnv env("scalar");
   Bispectrum bi(p);
+  ASSERT_EQ(bi.simd_isa(), simd::SimdIsa::Scalar);
   Rng rng(53);
   const auto few = shell(rng, 10, 0.9, 4.0);
   const auto many = shell(rng, 80, 0.9, 4.0);

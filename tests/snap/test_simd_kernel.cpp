@@ -1,15 +1,18 @@
-// Simd ("V8") kernel parity contract: the lane-blocked SIMD kernel must
-// reproduce the Symmetric (V7) kernel to <= 1e-12 per component across
-// 2J, neighbor counts that exercise every remainder-lane case, thread
-// counts, and the full SnapPotential evaluation. EMBER_SIMD=scalar must
-// degrade to the Symmetric code path *bitwise*, and the dispatcher must
-// reject unknown override values.
+// SIMD ("V8") dispatch parity contract: the production kernel on the
+// dispatched vector backend must reproduce its scalar lowering
+// (EMBER_SIMD=scalar, the TestSNAP V7-style half-range cached scheme) to
+// <= 1e-12 per component across 2J, neighbor counts that exercise every
+// remainder-lane case, thread counts, and the full SnapPotential
+// evaluation. The scalar blocked force pass must be the per-neighbor
+// cached scheme *bitwise*, default parameters must dispatch
+// simd::choose_isa(), and the dispatcher must reject unknown override
+// values.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -20,46 +23,23 @@
 #include "parallel/thread_pool.hpp"
 #include "snap/simd/dispatch.hpp"
 #include "snap/snap_potential.hpp"
+#include "scoped_simd_env.hpp"
 
 namespace ember::snap {
 namespace {
 
-// Scoped EMBER_SIMD override (the dispatcher reads the environment at
-// every Bispectrum construction).
-class ScopedSimdEnv {
- public:
-  explicit ScopedSimdEnv(const char* value) {
-    const char* old = std::getenv("EMBER_SIMD");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("EMBER_SIMD", value, 1);
-    } else {
-      ::unsetenv("EMBER_SIMD");
-    }
-  }
-  ~ScopedSimdEnv() {
-    if (had_old_) {
-      ::setenv("EMBER_SIMD", old_.c_str(), 1);
-    } else {
-      ::unsetenv("EMBER_SIMD");
-    }
-  }
-  ScopedSimdEnv(const ScopedSimdEnv&) = delete;
-  ScopedSimdEnv& operator=(const ScopedSimdEnv&) = delete;
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-SnapParams base_params(int twojmax, SnapKernel kernel) {
+SnapParams base_params(int twojmax) {
   SnapParams p;
   p.twojmax = twojmax;
   p.rcut = 3.4;
   p.bzero_flag = true;
-  p.kernel = kernel;
   return p;
+}
+
+// A kernel instance pinned to the scalar lowering.
+Bispectrum scalar_kernel(const SnapParams& p) {
+  ScopedSimdEnv env("scalar");
+  return Bispectrum(p);
 }
 
 std::vector<Vec3> random_shell(Rng& rng, int n, double rlo, double rhi) {
@@ -87,51 +67,52 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
     const auto rij = random_shell(rng, nn, 0.8, 3.2);
     const std::vector<double> wj(rij.size(), 1.0);
 
-    Bispectrum sym(base_params(twojmax, SnapKernel::Symmetric));
-    Bispectrum simd(base_params(twojmax, SnapKernel::Simd));
-    std::vector<double> beta(sym.num_b());
+    Bispectrum scalar = scalar_kernel(base_params(twojmax));
+    Bispectrum simd(base_params(twojmax));
+    std::vector<double> beta(scalar.num_b());
     for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
 
-    sym.compute_ui(rij, wj);
+    scalar.compute_ui(rij, wj);
     simd.compute_ui(rij, wj);
     ASSERT_EQ(simd.cached_neighbors(), nn);
-    for (int e = 0; e < sym.index().u_total(); ++e) {
-      EXPECT_NEAR(simd.utot()[e].re, sym.utot()[e].re, 1e-12)
+    for (int e = 0; e < scalar.index().u_total(); ++e) {
+      EXPECT_NEAR(simd.utot()[e].re, scalar.utot()[e].re, 1e-12)
           << "n=" << nn << " u " << e;
-      EXPECT_NEAR(simd.utot()[e].im, sym.utot()[e].im, 1e-12)
+      EXPECT_NEAR(simd.utot()[e].im, scalar.utot()[e].im, 1e-12)
           << "n=" << nn << " u " << e;
     }
 
-    sym.compute_yi(beta);
+    scalar.compute_yi(beta);
     simd.compute_yi(beta);
-    const double e_sym = sym.energy_from_yi(0.4, beta);
+    const double e_scalar = scalar.energy_from_yi(0.4, beta);
     const double e_simd = simd.energy_from_yi(0.4, beta);
-    EXPECT_NEAR(e_simd, e_sym, 1e-12 * std::max(1.0, std::abs(e_sym)));
+    EXPECT_NEAR(e_simd, e_scalar, 1e-12 * std::max(1.0, std::abs(e_scalar)));
 
     // Blocked force pass vs the per-neighbor cached scheme; the padded
     // remainder lanes must not leak into any neighbor's force.
     std::vector<Vec3> de_simd(rij.size());
     simd.compute_deidrj_all(de_simd);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      sym.compute_duidrj_cached(static_cast<int>(m));
-      const Vec3 de_sym = sym.compute_deidrj();
+      scalar.compute_duidrj_cached(static_cast<int>(m));
+      const Vec3 de_scalar = scalar.compute_deidrj();
       for (int d = 0; d < 3; ++d) {
-        EXPECT_NEAR(de_simd[m][d], de_sym[d], 1e-12)
+        EXPECT_NEAR(de_simd[m][d], de_scalar[d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
       }
     }
 
-    // The single-neighbor cached entry point stays valid under Simd (it
-    // gathers the lane-interleaved U cache back into scalar planes).
-    sym.compute_yi(beta);
+    // The single-neighbor cached entry point stays valid on a vector
+    // backend (it gathers the lane-interleaved U cache back into scalar
+    // planes).
+    scalar.compute_yi(beta);
     simd.compute_yi(beta);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      sym.compute_duidrj_cached(static_cast<int>(m));
-      const Vec3 de_sym = sym.compute_deidrj();
+      scalar.compute_duidrj_cached(static_cast<int>(m));
+      const Vec3 de_scalar = scalar.compute_deidrj();
       simd.compute_duidrj_cached(static_cast<int>(m));
       const Vec3 de_one = simd.compute_deidrj();
       for (int d = 0; d < 3; ++d) {
-        EXPECT_NEAR(de_one[d], de_sym[d], 1e-12)
+        EXPECT_NEAR(de_one[d], de_scalar[d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
       }
     }
@@ -145,31 +126,23 @@ TEST(SimdDispatch, ScalarOverrideIsBitwiseSymmetric) {
   ScopedSimdEnv env("scalar");
   Rng rng(7);
   const auto rij = random_shell(rng, 9, 0.8, 3.2);
-  std::vector<double> beta;
 
-  Bispectrum sym(base_params(8, SnapKernel::Symmetric));
-  Bispectrum simd(base_params(8, SnapKernel::Simd));
-  EXPECT_EQ(simd.simd_isa(), simd::SimdIsa::Scalar);
-  beta.resize(sym.num_b());
+  Bispectrum bi(base_params(8));
+  EXPECT_EQ(bi.simd_isa(), simd::SimdIsa::Scalar);
+  std::vector<double> beta(bi.num_b());
   for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
 
-  sym.compute_ui(rij, {});
-  simd.compute_ui(rij, {});
-  for (int e = 0; e < sym.index().u_total(); ++e) {
-    // Exact equality: the scalar fallback IS the Symmetric code path.
-    EXPECT_EQ(simd.utot()[e].re, sym.utot()[e].re) << "u " << e;
-    EXPECT_EQ(simd.utot()[e].im, sym.utot()[e].im) << "u " << e;
-  }
-
-  sym.compute_yi(beta);
-  simd.compute_yi(beta);
-  std::vector<Vec3> de_sym(rij.size());
-  std::vector<Vec3> de_simd(rij.size());
-  sym.compute_deidrj_all(de_sym);
-  simd.compute_deidrj_all(de_simd);
+  bi.compute_ui(rij, {});
+  bi.compute_yi(beta);
+  std::vector<Vec3> de_blocked(rij.size());
+  bi.compute_deidrj_all(de_blocked);
   for (std::size_t m = 0; m < rij.size(); ++m) {
+    // Exact equality: with no vector backend the blocked pass IS the
+    // per-neighbor cached (Symmetric) scheme.
+    bi.compute_duidrj_cached(static_cast<int>(m));
+    const Vec3 de_one = bi.compute_deidrj();
     for (int d = 0; d < 3; ++d) {
-      EXPECT_EQ(de_simd[m][d], de_sym[m][d]) << "neighbor " << m;
+      EXPECT_EQ(de_blocked[m][d], de_one[d]) << "neighbor " << m;
     }
   }
 }
@@ -194,7 +167,7 @@ TEST(SimdDispatch, OverrideOnlyLowersTheIsa) {
 TEST(SimdDispatch, UnknownOverrideThrows) {
   ScopedSimdEnv env("sse9");
   EXPECT_THROW(static_cast<void>(simd::choose_isa()), Error);
-  EXPECT_THROW(Bispectrum(base_params(2, SnapKernel::Simd)), Error);
+  EXPECT_THROW(Bispectrum(base_params(2)), Error);
 }
 
 TEST(SimdDispatch, LaneWidthMatchesIsa) {
@@ -203,14 +176,22 @@ TEST(SimdDispatch, LaneWidthMatchesIsa) {
   EXPECT_EQ(simd::lane_width(simd::SimdIsa::Avx512), 8);
   EXPECT_STREQ(simd::to_string(simd::SimdIsa::Avx2), "avx2");
   // An instance reports the ISA it actually dispatched to.
-  Bispectrum simd_bi(base_params(2, SnapKernel::Simd));
+  Bispectrum simd_bi(base_params(2));
   EXPECT_EQ(simd_bi.simd_isa(), simd::choose_isa());
+}
+
+TEST(SimdDispatch, DefaultParamsDispatchChosenIsa) {
+  // No parameter selects a kernel: default-constructed SnapParams get the
+  // dispatched backend, and EMBER_SIMD is the only knob that lowers it.
+  EXPECT_EQ(Bispectrum(SnapParams{}).simd_isa(), simd::choose_isa());
+  ScopedSimdEnv env("scalar");
+  EXPECT_EQ(Bispectrum(SnapParams{}).simd_isa(), simd::SimdIsa::Scalar);
 }
 
 // ---- full-potential parity over a periodic system ------------------------
 
-SnapModel parity_model(int twojmax, SnapKernel kernel, std::uint64_t seed) {
-  SnapParams p = base_params(twojmax, kernel);
+SnapModel parity_model(int twojmax, std::uint64_t seed) {
+  SnapParams p = base_params(twojmax);
   p.rcut = 2.6;
   SnapModel m;
   m.params = p;
@@ -254,13 +235,15 @@ ForceRun run_kernel(const SnapModel& model, const md::System& start,
 
 TEST(SimdKernel, PotentialMatchesSymmetricAcrossThreads) {
   const md::System sys = perturbed_diamond(2, 0.1, 23);
-  SnapModel sym = parity_model(8, SnapKernel::Symmetric, 7);
-  SnapModel simd = sym;
-  simd.params.kernel = SnapKernel::Simd;
+  const SnapModel model = parity_model(8, 7);
 
-  const ForceRun oracle = run_kernel(sym, sys, 1);
+  ForceRun oracle;
+  {
+    ScopedSimdEnv env("scalar");
+    oracle = run_kernel(model, sys, 1);
+  }
   for (const int nth : {1, 4}) {
-    const ForceRun got = run_kernel(simd, sys, nth);
+    const ForceRun got = run_kernel(model, sys, nth);
     EXPECT_NEAR(got.energy, oracle.energy,
                 1e-12 * std::max(1.0, std::abs(oracle.energy)))
         << nth << " threads";
@@ -277,12 +260,30 @@ TEST(SimdKernel, PotentialMatchesSymmetricAcrossThreads) {
   }
 }
 
-TEST(SimdKernel, ModelRoundTripsKernelChoice) {
-  SnapModel m = parity_model(4, SnapKernel::Simd, 3);
+TEST(SimdKernel, LegacyKernelModelRunsDispatchedKernel) {
+  // Whatever kernel an older model file recorded, it loads onto the one
+  // production kernel: same dispatched ISA, bitwise-identical forces.
+  const SnapModel m = parity_model(4, 3);
+  const md::System sys = perturbed_diamond(2, 0.1, 5);
   const char* path = "simd_kernel_model.tmp";
   m.save(path);
-  const SnapModel back = SnapModel::load(path);
-  EXPECT_EQ(back.params.kernel, SnapKernel::Simd);
+  const ForceRun ref = run_kernel(SnapModel::load(path), sys, 1);
+  for (const char* kernel : {"naive", "symmetric", "simd"}) {
+    {
+      std::ofstream os(path, std::ios::app);
+      os << "kernel " << kernel << '\n';
+    }
+    const SnapModel back = SnapModel::load(path);
+    SnapPotential pot(back);
+    EXPECT_EQ(pot.kernel().simd_isa(), simd::choose_isa()) << kernel;
+    const ForceRun got = run_kernel(back, sys, 1);
+    ASSERT_EQ(got.f.size(), ref.f.size());
+    for (std::size_t i = 0; i < ref.f.size(); ++i) {
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_EQ(got.f[i][d], ref.f[i][d]) << kernel << " atom " << i;
+      }
+    }
+  }
   std::remove(path);
 }
 

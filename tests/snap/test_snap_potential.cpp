@@ -1,16 +1,22 @@
-// Tests of SNAP as an MD potential: path equivalence, periodic-system
-// forces, NVE stability, model serialization, and the adjoint energy
-// identity.
+// Tests of SNAP as an MD potential: parity with the Listing-1 baseline,
+// periodic-system forces, NVE stability, model serialization, and the
+// adjoint energy identity.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
 #include "snap/snap_potential.hpp"
+#include "snap_reference.hpp"
 
 namespace ember::snap {
 namespace {
@@ -66,22 +72,26 @@ TEST(SnapPotential, AdjointEnergyIdentity) {
   EXPECT_NEAR(e_adjoint, e_explicit, 1e-9 * std::max(1.0, std::abs(e_explicit)));
 }
 
+// Production adjoint evaluation of one force call.
+reference::ForceRun run_potential(const SnapModel& model,
+                                  const md::System& start) {
+  md::System s = start;
+  SnapPotential pot(model);
+  md::NeighborList nl(pot.cutoff(), 0.3);
+  nl.build(s);
+  s.zero_forces();
+  const auto ev = pot.compute(s, nl);
+  return {ev.energy, ev.virial, std::vector<Vec3>(s.f.begin(), s.f.end())};
+}
+
 TEST(SnapPotential, PathsAgreeOnPeriodicSystem) {
+  // The adjoint kernel (Listing 5) against the tests-only Listing-1
+  // baseline: sum_l beta_l dB_l per neighbor.
   const SnapModel model = tiny_model(8, 1);
   md::System sys = perturbed_diamond(2, 0.12, 2);
 
-  auto run_path = [&](SnapPotential::Path path) {
-    md::System s = sys;
-    SnapPotential pot(model, path);
-    md::NeighborList nl(pot.cutoff(), 0.3);
-    nl.build(s);
-    s.zero_forces();
-    const auto ev = pot.compute(s, nl);
-    return std::tuple{ev.energy, ev.virial,
-                      std::vector<Vec3>(s.f.begin(), s.f.end())};
-  };
-  const auto [ea, va, fa] = run_path(SnapPotential::Path::Adjoint);
-  const auto [eb, vb, fb] = run_path(SnapPotential::Path::Baseline);
+  const auto [ea, va, fa] = run_potential(model, sys);
+  const auto [eb, vb, fb] = reference::reference_forces(model, sys);
 
   EXPECT_NEAR(ea, eb, 1e-9 * std::max(1.0, std::abs(eb)));
   EXPECT_NEAR(va, vb, 1e-8 * std::max(1.0, std::abs(vb)));
@@ -151,6 +161,10 @@ TEST(SnapModel, SaveLoadRoundTrip) {
   const SnapModel model = tiny_model(8, 11);
   const std::string path = "/tmp/ember_test_model.snap";
   model.save(path);
+  std::ifstream is(path);
+  const std::string text{std::istreambuf_iterator<char>(is),
+                         std::istreambuf_iterator<char>()};
+  EXPECT_EQ(text.find("kernel"), std::string::npos);  // no longer written
   const SnapModel loaded = SnapModel::load(path);
   std::remove(path.c_str());
 
@@ -173,12 +187,25 @@ TEST(SnapPotential, FlopCounterTracksWork) {
   sys.zero_forces();
   pot.compute(sys, nl);
   EXPECT_GT(pot.last_flops(), 1e6);  // 64 atoms x O(J^7) sweep
-  // Baseline path must report more FLOPs than adjoint (the paper's point).
-  const double adj = pot.last_flops();
-  pot.set_path(SnapPotential::Path::Baseline);
-  sys.zero_forces();
-  pot.compute(sys, nl);
-  EXPECT_GT(pot.last_flops(), adj);
+
+  // The counter is the analytic adjoint count summed over the atoms'
+  // in-cutoff neighborhoods, and the Listing-1 baseline count for the
+  // same neighborhoods is larger (the paper's point).
+  const Bispectrum& bi = pot.kernel();
+  const double rc2 = pot.cutoff() * pot.cutoff();
+  double adjoint = 0.0;
+  double baseline = 0.0;
+  for (int i = 0; i < sys.nlocal(); ++i) {
+    int nn = 0;
+    for (const auto& en : nl.neighbors(i)) {
+      if ((sys.x[en.j] + en.shift - sys.x[i]).norm2() < rc2) ++nn;
+    }
+    adjoint += bi.flops_adjoint_atom(nn);
+    baseline += bi.flops_ui(nn) + bi.flops_zi() + bi.flops_bi() +
+                nn * (bi.flops_duidrj_full() + bi.flops_dbidrj());
+  }
+  EXPECT_NEAR(pot.last_flops(), adjoint, 1e-9 * adjoint);
+  EXPECT_GT(baseline, adjoint);
 }
 
 SnapModel quadratic_model(int twojmax, std::uint64_t seed) {
@@ -259,20 +286,14 @@ TEST(SnapQuadratic, ForcesMatchFiniteDifference) {
 }
 
 TEST(SnapQuadratic, PathsAgree) {
+  // Adjoint with per-atom beta_eff = beta + alpha B against the tests-only
+  // baseline contracting dB with the same beta_eff.
   const SnapModel model = quadratic_model(6, 9);
   md::System sys = perturbed_diamond(2, 0.1, 10);
-  auto run_path = [&](SnapPotential::Path path) {
-    md::System s = sys;
-    SnapPotential pot(model, path);
-    md::NeighborList nl(pot.cutoff(), 0.3);
-    nl.build(s);
-    s.zero_forces();
-    const auto ev = pot.compute(s, nl);
-    return std::pair{ev.energy, std::vector<Vec3>(s.f.begin(), s.f.end())};
-  };
-  const auto [ea, fa] = run_path(SnapPotential::Path::Adjoint);
-  const auto [eb, fb] = run_path(SnapPotential::Path::Baseline);
+  const auto [ea, va, fa] = run_potential(model, sys);
+  const auto [eb, vb, fb] = reference::reference_forces(model, sys);
   EXPECT_NEAR(ea, eb, 1e-9 * std::max(1.0, std::abs(eb)));
+  EXPECT_NEAR(va, vb, 1e-8 * std::max(1.0, std::abs(vb)));
   for (std::size_t i = 0; i < fa.size(); ++i) {
     for (int d = 0; d < 3; ++d) {
       EXPECT_NEAR(fa[i][d], fb[i][d], 1e-9 * std::max(1.0, std::abs(fb[i][d])));
@@ -314,6 +335,88 @@ TEST(SnapQuadratic, ReducesToLinearWhenAlphaZero) {
     EXPECT_NEAR(fq[i].x, fl[i].x, 1e-12);
     EXPECT_NEAR(fq[i].z, fl[i].z, 1e-12);
   }
+}
+
+// ---- model-file parsing -------------------------------------------------
+
+// Writes `text` to `path` and returns the ember::Error message load()
+// raised, or "" when the file loaded.
+std::string load_error(const std::string& path, const std::string& text) {
+  {
+    std::ofstream os(path);
+    os << text;
+  }
+  std::string what;
+  try {
+    static_cast<void>(SnapModel::load(path));
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  std::remove(path.c_str());
+  return what;
+}
+
+std::string model_text(const std::string& header) {
+  std::ostringstream os;
+  os << "# ember SNAP model\n" << header << "twojmax 2\nrcut 2.5\n"
+     << "beta0 -1\nncoeff 5\n0.1\n0.2\n0.3\n0.4\n0.5\nnquad 0\n";
+  return os.str();
+}
+
+TEST(SnapModel, LegacyKernelLineIsIgnored) {
+  // Files written before the SIMD kernel became the only production
+  // kernel carry a `kernel` line; every legacy value still loads to the
+  // same model.
+  const std::string path = "legacy_kernel_model.snap";
+  for (const char* kernel : {"naive", "symmetric", "simd"}) {
+    {
+      std::ofstream os(path);
+      os << model_text(std::string("kernel ") + kernel + "\n");
+    }
+    const SnapModel m = SnapModel::load(path);
+    EXPECT_EQ(m.params.twojmax, 2) << kernel;
+    EXPECT_DOUBLE_EQ(m.params.rcut, 2.5) << kernel;
+    ASSERT_EQ(m.beta.size(), 5u) << kernel;
+    EXPECT_DOUBLE_EQ(m.beta[4], 0.5) << kernel;
+  }
+  std::remove(path.c_str());
+  EXPECT_NE(load_error(path, model_text("kernel quantum\n"))
+                .find(path + ":2: unknown kernel"),
+            std::string::npos);
+}
+
+TEST(SnapModel, UnknownKeyIsRejectedWithPathAndLine) {
+  const std::string path = "unknown_key_model.snap";
+  const std::string what = load_error(path, model_text("rcutt 9\n"));
+  EXPECT_NE(what.find(path + ":2: unknown key 'rcutt'"), std::string::npos)
+      << what;
+  // A value with trailing words is malformed too.
+  EXPECT_NE(load_error(path, model_text("rcut 3.0 4.0\n")).find(path + ":2:"),
+            std::string::npos);
+}
+
+TEST(SnapModel, BadNumberIsRejectedWithPathAndLine) {
+  const std::string path = "bad_number_model.snap";
+  const std::string what = load_error(path, model_text("wself abc\n"));
+  EXPECT_NE(what.find(path + ":2: bad value 'abc' for wself"),
+            std::string::npos)
+      << what;
+  // Partial numbers, non-finite values, non-0/1 flags and damaged
+  // coefficients are all rejected at their line.
+  EXPECT_NE(load_error(path, model_text("rcut 2.5x\n")).find(path + ":2:"),
+            std::string::npos);
+  EXPECT_NE(load_error(path, model_text("rcut nan\n")).find(path + ":2:"),
+            std::string::npos);
+  EXPECT_NE(load_error(path, model_text("switch 2\n")).find(path + ":2:"),
+            std::string::npos);
+  std::string text = model_text("");
+  text.replace(text.find("0.3"), 3, "0.3?");
+  EXPECT_NE(load_error(path, text).find(path + ":8: bad coefficient '0.3?'"),
+            std::string::npos);
+  // A short coefficient block names the file.
+  text = model_text("");
+  text.erase(text.find("0.5\n"));
+  EXPECT_NE(load_error(path, text).find(path + ":"), std::string::npos);
 }
 
 }  // namespace

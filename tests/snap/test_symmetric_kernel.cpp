@@ -1,14 +1,21 @@
-// Symmetric-kernel parity contract: the TestSNAP V5-V7 production kernel
-// (half column range + cached neighbor U lists + SoA planes) must reproduce
-// the Naive full-range kernel to <= 1e-12 per component — U mirrors, Y,
-// energies, per-neighbor forces, and the full SnapPotential force/energy/
-// virial evaluation for linear and quadratic models across thread counts.
-// Naive is the correctness oracle; these tests pin the port.
+// Production-kernel parity contract: the half-range adjoint kernel (the
+// TestSNAP V5-V7 layout: half column range + cached neighbor U lists + SoA
+// planes, on whichever SIMD backend dispatched) must reproduce full-range
+// references to <= 1e-12 per component:
+//   - Utot against the closed-form Wigner matrices;
+//   - Y against the full-range sum beta * Z over compute_zi's Z list, and
+//     the adjoint energy against the explicit beta . B energy;
+//   - per-atom force sums against TestSNAP V3 (the full-range adjoint
+//     scheme: every (ma, mb) element, each neighbor's U recursion run
+//     twice), and per-neighbor forces against the full-range
+//     compute_duidrj recursion;
+//   - the full SnapPotential force/energy/virial evaluation, for linear
+//     and quadratic models across thread counts, against the tests-only
+//     Listing-1 baseline in snap_reference.hpp.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,16 +24,18 @@
 #include "md/neighbor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "snap/snap_potential.hpp"
+#include "snap/testsnap.hpp"
+#include "snap/wigner.hpp"
+#include "snap_reference.hpp"
 
 namespace ember::snap {
 namespace {
 
-SnapParams base_params(int twojmax, SnapKernel kernel) {
+SnapParams base_params(int twojmax) {
   SnapParams p;
   p.twojmax = twojmax;
   p.rcut = 3.4;
   p.bzero_flag = true;
-  p.kernel = kernel;
   return p;
 }
 
@@ -49,64 +58,89 @@ class SymmetricKernelParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
   const int twojmax = GetParam();
-  Rng rng(17 + static_cast<std::uint64_t>(twojmax));
-  const auto rij = random_shell(rng, 22, 0.8, 3.2);
-  const std::vector<double> wj(rij.size(), 1.0);
+  const SnapParams p = base_params(twojmax);
+  constexpr int kAtoms = 3;
+  constexpr int kNeighbors = 22;
+  TestSnap oracle(p, kAtoms, kNeighbors,
+                  17 + static_cast<std::uint64_t>(twojmax));
+  oracle.run(TestSnapVariant::V3_Adjoint);
 
-  Bispectrum naive(base_params(twojmax, SnapKernel::Naive));
-  Bispectrum sym(base_params(twojmax, SnapKernel::Symmetric));
-  // Model-scale coefficients keep the forces O(1), so the absolute 1e-12
-  // parity bound sits well above double rounding but far below any real
-  // kernel discrepancy.
-  std::vector<double> beta(naive.num_b());
-  for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
+  // TestSNAP draws beta in [-1, 1]. Model-scale coefficients keep the
+  // forces O(1), so the absolute 1e-12 parity bound sits well above double
+  // rounding but far below any real kernel discrepancy; forces are linear
+  // in beta, so the oracle's sums are scaled by the same factor.
+  constexpr double kScale = 0.01;
+  std::vector<double> beta(oracle.beta().begin(), oracle.beta().end());
+  for (auto& b : beta) b *= kScale;
 
-  naive.compute_ui(rij, wj);
-  sym.compute_ui(rij, wj);
-  ASSERT_EQ(sym.cached_neighbors(), static_cast<int>(rij.size()));
+  Bispectrum bi(p);
+  const SnapIndex& idx = bi.index();
+  std::vector<Vec3> de(kNeighbors);
+  std::vector<Cplx> y_ref(idx.u_total());
+  for (int i = 0; i < kAtoms; ++i) {
+    const std::span<const Vec3> rij = oracle.neighborhood(i);
+    bi.compute_ui(rij, {});
+    ASSERT_EQ(bi.cached_neighbors(), kNeighbors);
 
-  // Mirrored full-range Utot matches the naive accumulation.
-  for (int e = 0; e < naive.index().u_total(); ++e) {
-    EXPECT_NEAR(sym.utot()[e].re, naive.utot()[e].re, 1e-12) << "u " << e;
-    EXPECT_NEAR(sym.utot()[e].im, naive.utot()[e].im, 1e-12) << "u " << e;
-  }
-
-  // Half-column Y sweep (aligned CG blocks) matches the full sweep.
-  naive.compute_yi(beta);
-  sym.compute_yi(beta);
-  for (int e = 0; e < naive.index().u_total(); ++e) {
-    EXPECT_NEAR(sym.ylist()[e].re, naive.ylist()[e].re, 1e-12) << "y " << e;
-    EXPECT_NEAR(sym.ylist()[e].im, naive.ylist()[e].im, 1e-12) << "y " << e;
-  }
-
-  // Adjoint energy identity holds identically on both kernels.
-  const double e_naive = naive.energy_from_yi(0.4, beta);
-  const double e_sym = sym.energy_from_yi(0.4, beta);
-  EXPECT_NEAR(e_sym, e_naive, 1e-12 * std::max(1.0, std::abs(e_naive)));
-
-  // Per-neighbor forces: cached half-range dU contraction vs the naive
-  // full recursion, every component to 1e-12.
-  for (std::size_t m = 0; m < rij.size(); ++m) {
-    naive.compute_duidrj(rij[m], wj[m]);
-    const Vec3 de_naive = naive.compute_deidrj();
-    sym.compute_duidrj_cached(static_cast<int>(m));
-    const Vec3 de_sym = sym.compute_deidrj();
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_NEAR(de_sym[d], de_naive[d], 1e-12)
-          << "neighbor " << m << " dim " << d;
+    // Mirrored full-range Utot matches the closed-form accumulation.
+    for (int j = 0; j <= twojmax; ++j) {
+      const int n = j + 1;
+      std::vector<Cplx> ref(static_cast<std::size_t>(n) * n);
+      for (int ma = 0; ma < n; ++ma) ref[ma * n + ma] = {p.wself, 0.0};
+      for (const Vec3& r : rij) {
+        const auto ck =
+            map_to_sphere(r, p.rcut, p.rfac0, p.rmin0, p.switch_flag);
+        const auto u = wigner_matrix(j, ck.a, ck.b);
+        for (std::size_t e = 0; e < ref.size(); ++e) ref[e] += ck.fc * u[e];
+      }
+      for (int e = 0; e < n * n; ++e) {
+        const Cplx got = bi.utot()[idx.u_block(j) + e];
+        EXPECT_NEAR(got.re, ref[e].re, 1e-12) << "atom " << i << " u " << j;
+        EXPECT_NEAR(got.im, ref[e].im, 1e-12) << "atom " << i << " u " << j;
+      }
     }
-  }
 
-  // Descriptors through the (unchanged) Z/B stages agree too: the
-  // symmetric kernel feeds them through the mirrored Utot.
-  naive.compute_zi();
-  naive.compute_bi();
-  sym.compute_zi();
-  sym.compute_bi();
-  for (int l = 0; l < naive.num_b(); ++l) {
-    EXPECT_NEAR(sym.blist()[l], naive.blist()[l],
-                1e-12 * std::max(1.0, std::abs(naive.blist()[l])))
-        << "b " << l;
+    // Half-column Y sweep (aligned CG blocks) matches the full-range sum
+    // of beta-weighted Z matrices from compute_zi.
+    bi.compute_yi(beta);
+    bi.compute_zi();
+    std::fill(y_ref.begin(), y_ref.end(), Cplx{});
+    for (const ZTriple& t : idx.z_triples()) {
+      const double coeff = beta[t.idxb] * t.beta_scale;
+      const int n = t.j + 1;
+      for (int e = 0; e < n * n; ++e) {
+        y_ref[idx.u_block(t.j) + e] += coeff * bi.zlist()[t.idxz_u + e];
+      }
+    }
+    for (int e = 0; e < idx.u_total(); ++e) {
+      EXPECT_NEAR(bi.ylist()[e].re, y_ref[e].re, 1e-12) << "y " << e;
+      EXPECT_NEAR(bi.ylist()[e].im, y_ref[e].im, 1e-12) << "y " << e;
+    }
+
+    // Adjoint energy identity against the explicit beta . B energy.
+    const double e_adjoint = bi.energy_from_yi(0.4, beta);
+    bi.compute_bi();
+    const double e_explicit = bi.energy(0.4, beta);
+    EXPECT_NEAR(e_adjoint, e_explicit,
+                1e-12 * std::max(1.0, std::abs(e_explicit)));
+
+    // Blocked force pass: per-atom sum against TestSNAP V3, and each
+    // neighbor against the full-range recursion on the same instance.
+    bi.compute_deidrj_all(de);
+    Vec3 fsum;
+    for (const Vec3& d : de) fsum += d;
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_NEAR(fsum[d], kScale * oracle.forces()[i][d], 1e-12)
+          << "atom " << i << " dim " << d;
+    }
+    for (int m = 0; m < kNeighbors; ++m) {
+      bi.compute_duidrj(rij[m], 1.0);
+      const Vec3 de_full = bi.compute_deidrj();
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_NEAR(de[m][d], de_full[d], 1e-12)
+            << "atom " << i << " neighbor " << m << " dim " << d;
+      }
+    }
   }
 }
 
@@ -114,22 +148,22 @@ INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SymmetricKernelParity,
                          ::testing::Values(2, 4, 6, 8, 14));
 
 TEST(SymmetricKernel, MixedStageSequenceStaysCorrect) {
-  // Under the Symmetric kernel the naive compute_duidrj entry point must
-  // remain valid (the Baseline path and the trainer use it), including
-  // when interleaved with cached calls on the same instance.
+  // The full-range compute_duidrj entry point must remain valid (the
+  // trainer and the reference force loops use it), including when
+  // interleaved with cached calls on the same instance.
   Rng rng(91);
   const auto rij = random_shell(rng, 12, 0.9, 3.0);
-  Bispectrum sym(base_params(8, SnapKernel::Symmetric));
-  std::vector<double> beta(sym.num_b());
+  Bispectrum bi(base_params(8));
+  std::vector<double> beta(bi.num_b());
   for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
 
-  sym.compute_ui(rij, {});
-  sym.compute_yi(beta);
+  bi.compute_ui(rij, {});
+  bi.compute_yi(beta);
   for (std::size_t m = 0; m < rij.size(); ++m) {
-    sym.compute_duidrj_cached(static_cast<int>(m));
-    const Vec3 de_cached = sym.compute_deidrj();
-    sym.compute_duidrj(rij[m], 1.0);  // full-range recursion, same neighbor
-    const Vec3 de_full = sym.compute_deidrj();
+    bi.compute_duidrj_cached(static_cast<int>(m));
+    const Vec3 de_cached = bi.compute_deidrj();
+    bi.compute_duidrj(rij[m], 1.0);  // full-range recursion, same neighbor
+    const Vec3 de_full = bi.compute_deidrj();
     for (int d = 0; d < 3; ++d) {
       EXPECT_NEAR(de_cached[d], de_full[d], 1e-12);
     }
@@ -138,9 +172,8 @@ TEST(SymmetricKernel, MixedStageSequenceStaysCorrect) {
 
 // ---- full-potential parity over a periodic system ------------------------
 
-SnapModel parity_model(int twojmax, SnapKernel kernel, bool quadratic,
-                       std::uint64_t seed) {
-  SnapParams p = base_params(twojmax, kernel);
+SnapModel parity_model(int twojmax, bool quadratic, std::uint64_t seed) {
+  SnapParams p = base_params(twojmax);
   p.rcut = 2.6;
   SnapModel m;
   m.params = p;
@@ -175,14 +208,8 @@ md::System perturbed_diamond(int reps, double sigma, std::uint64_t seed) {
   return sys;
 }
 
-struct ForceRun {
-  double energy = 0.0;
-  double virial = 0.0;
-  std::vector<Vec3> f;
-};
-
-ForceRun run_kernel(const SnapModel& model, const md::System& start,
-                    int nthreads) {
+reference::ForceRun run_kernel(const SnapModel& model,
+                               const md::System& start, int nthreads) {
   md::System sys = start;
   SnapPotential pot(model);
   const md::ComputeContext ctx{ExecutionPolicy{nthreads}};
@@ -196,13 +223,11 @@ ForceRun run_kernel(const SnapModel& model, const md::System& start,
 
 void expect_kernel_parity(bool quadratic) {
   const md::System sys = perturbed_diamond(2, 0.1, 23);
-  SnapModel naive = parity_model(8, SnapKernel::Naive, quadratic, 7);
-  SnapModel sym = naive;
-  sym.params.kernel = SnapKernel::Symmetric;
+  const SnapModel model = parity_model(8, quadratic, 7);
 
-  const ForceRun oracle = run_kernel(naive, sys, 1);
+  const reference::ForceRun oracle = reference::reference_forces(model, sys);
   for (const int nth : {1, 4, 8}) {
-    const ForceRun got = run_kernel(sym, sys, nth);
+    const reference::ForceRun got = run_kernel(model, sys, nth);
     EXPECT_NEAR(got.energy, oracle.energy,
                 1e-12 * std::max(1.0, std::abs(oracle.energy)))
         << nth << " threads";
@@ -225,19 +250,6 @@ TEST(SymmetricKernel, LinearPotentialMatchesNaive) {
 
 TEST(SymmetricKernel, QuadraticPotentialMatchesNaive) {
   expect_kernel_parity(/*quadratic=*/true);
-}
-
-TEST(SymmetricKernel, ModelRoundTripsKernelChoice) {
-  SnapModel m = parity_model(4, SnapKernel::Naive, false, 3);
-  const char* path = "symmetric_kernel_model.tmp";
-  m.save(path);
-  const SnapModel naive_back = SnapModel::load(path);
-  EXPECT_EQ(naive_back.params.kernel, SnapKernel::Naive);
-  m.params.kernel = SnapKernel::Symmetric;
-  m.save(path);
-  const SnapModel sym_back = SnapModel::load(path);
-  EXPECT_EQ(sym_back.params.kernel, SnapKernel::Symmetric);
-  std::remove(path);
 }
 
 }  // namespace
