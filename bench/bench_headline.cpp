@@ -14,9 +14,10 @@
 
 // A fourth section measures the *production* SNAP force engine
 // (SnapPotential over a periodic diamond system) on two SIMD backends,
-// set through EMBER_SIMD: the scalar lowering (TestSNAP V5-V7 layout:
-// half range + cached neighbor dU + SoA) and the ISA the dispatcher picks
-// (V8: lane-blocked AVX2/AVX-512 over neighbors). It runs them across
+// set through EMBER_SIMD: the width-1 scalar table and the ISA the
+// dispatcher picks (V8: lane-blocked AVX2/AVX-512 over neighbors), both
+// running the same TestSNAP V5-V7 layout (half range + cached neighbor
+// dU + SoA) through the lane-generic kernels. It runs them across
 // thread counts, checks force parity between them, and optionally records
 // the whole run as machine-stamped JSON (--json <path>; the bench_record
 // CMake target writes BENCH_headline.json at the repo root). Thread
@@ -111,7 +112,7 @@ struct Backend {
   std::string name;
 };
 
-// Index 0 is the scalar lowering, index 1 the dispatched ISA.
+// Index 0 is the width-1 scalar table, index 1 the dispatched ISA.
 std::vector<Backend> backends() {
   using namespace ember::snap;
   return {{"scalar", "scalar"}, {nullptr, simd::to_string(simd::choose_isa())}};

@@ -103,17 +103,18 @@ void BM_ComputeDbidrj(benchmark::State& state) {
 BENCHMARK(BM_ComputeDbidrj)->Arg(4)->Arg(8)->Arg(14);
 
 // Whole-atom force evaluation, both execution paths (Listing 1 vs 5).
+// The adjoint row runs the stage sequence SnapPotential runs, on the
+// dispatched kernel table (EMBER_SIMD lowers it).
 void BM_AtomAdjoint(benchmark::State& state) {
   const auto w = make_workload(8);
   Bispectrum bi(w.params);
+  std::vector<Vec3> de(w.rij.size());
   for (auto _ : state) {
     bi.compute_ui(w.rij, {});
     bi.compute_yi(w.beta);
+    bi.compute_deidrj_all(de);
     Vec3 f;
-    for (const auto& r : w.rij) {
-      bi.compute_duidrj(r, 1.0);
-      f += bi.compute_deidrj();
-    }
+    for (const Vec3& d : de) f += d;
     benchmark::DoNotOptimize(f);
   }
 }

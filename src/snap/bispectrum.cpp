@@ -31,37 +31,27 @@ Bispectrum::Bispectrum(const SnapParams& params)
   blist_.resize(idx_.num_b());
   dblist_.resize(idx_.num_b());
 
-  // Resolve the backend once per instance: CPUID capability clamped by
-  // EMBER_SIMD. With no vector backend (non-x86, EMBER_SIMD=scalar) the
-  // instance runs the scalar half-range loops.
+  // Resolve the kernel table once per instance: CPUID capability clamped
+  // by EMBER_SIMD (non-x86 builds and EMBER_SIMD=scalar get width 1).
   simd_isa_ = simd::choose_isa();
-  simd_ops_ = simd::ops_for(simd_isa_);
-  if (simd_ops_ == nullptr) simd_isa_ = simd::SimdIsa::Scalar;
+  simd_ops_ = &simd::ops_for(simd_isa_);
 
   const int nh = idx_.u_half_total();
   utot_half_re_.resize(nh);
   utot_half_im_.resize(nh);
   y_half_re_.resize(nh);
   y_half_im_.resize(nh);
-  for (int d = 0; d < 3; ++d) {
-    du_half_re_[d].resize(nh);
-    du_half_im_[d].resize(nh);
-  }
 
-  if (simd_active()) {
-    const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
-    simd_ck_.resize(static_cast<std::size_t>(simd::kCkSlots) * w);
-    simd_wfc_.resize(w);
-    simd_acc_re_.resize(static_cast<std::size_t>(nh) * w);
-    simd_acc_im_.resize(static_cast<std::size_t>(nh) * w);
-    for (int d = 0; d < 3; ++d) {
-      simd_du_re_[d].resize(static_cast<std::size_t>(nh) * w);
-      simd_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
-    }
-    simd_out_.resize(3 * w);
-    u_gather_re_.resize(nh);
-    u_gather_im_.resize(nh);
+  const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
+  simd_ck_.resize(static_cast<std::size_t>(simd::kCkSlots) * w);
+  simd_wfc_.resize(w);
+  simd_acc_re_.resize(static_cast<std::size_t>(nh) * w);
+  simd_acc_im_.resize(static_cast<std::size_t>(nh) * w);
+  for (int d = 0; d < 3; ++d) {
+    simd_du_re_[d].resize(static_cast<std::size_t>(nh) * w);
+    simd_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
   }
+  simd_out_.resize(3 * w);
 
   // bzero: bispectrum of an isolated atom (self term only), obtained by
   // running the kernel itself on an empty neighbor set. compute_bi_impl
@@ -140,50 +130,6 @@ void Bispectrum::u_recursion(const CayleyKlein& ck, bool with_derivatives) {
   }
 }
 
-void Bispectrum::u_half_recursion(const CayleyKlein& ck, double* ur,
-                                  double* ui) const {
-  const int tj = params_.twojmax;
-  ur[0] = 1.0;
-  ui[0] = 0.0;
-  // Columns with 2*mb <= j only: column mb of level j reads column mb-1
-  // (or 0) of level j-1, which the previous level's half range contains
-  // (mb - 1 <= j/2 - 1 <= (j-1)/2), so the half recursion is closed.
-  for (int j = 1; j <= tj; ++j) {
-    const int blk = idx_.u_half_block(j);
-    const int pblk = idx_.u_half_block(j - 1);
-    const int hs = j / 2 + 1;        // current half row stride
-    const int phs = (j - 1) / 2 + 1; // previous half row stride
-    for (int mb = 0; mb <= j / 2; ++mb) {
-      const bool zc = (mb == 0);
-      const Cplx cu = zc ? -conj(ck.b) : ck.a;
-      const Cplx cd = zc ? conj(ck.a) : ck.b;
-      const int pcol = zc ? 0 : mb - 1;
-      const int denom = zc ? j : mb;
-      for (int ma = 0; ma <= j; ++ma) {
-        double vre = 0.0;
-        double vim = 0.0;
-        if (ma > 0) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(ma) * (tj + 1) + denom];
-          const int p = pblk + (ma - 1) * phs + pcol;
-          vre += r * (cu.re * ur[p] - cu.im * ui[p]);
-          vim += r * (cu.re * ui[p] + cu.im * ur[p]);
-        }
-        if (ma < j) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(j - ma) * (tj + 1) + denom];
-          const int p = pblk + ma * phs + pcol;
-          vre += r * (cd.re * ur[p] - cd.im * ui[p]);
-          vim += r * (cd.re * ui[p] + cd.im * ur[p]);
-        }
-        const int e = blk + ma * hs + mb;
-        ur[e] = vre;
-        ui[e] = vim;
-      }
-    }
-  }
-}
-
 void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
                                      std::vector<Cplx>& full) const {
   for (int j = 0; j <= params_.twojmax; ++j) {
@@ -203,44 +149,6 @@ void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
       }
     }
   }
-}
-
-void Bispectrum::compute_ui_scalar(std::span<const Vec3> rij,
-                                   std::span<const double> wj) {
-  const int nh = idx_.u_half_total();
-  const int nn = static_cast<int>(rij.size());
-  nnbor_cached_ = nn;
-  ck_cache_.resize(nn);
-  wj_cache_.resize(nn);
-  ucache_re_.resize(static_cast<std::size_t>(nn) * nh);
-  ucache_im_.resize(static_cast<std::size_t>(nn) * nh);
-  std::fill(utot_half_re_.begin(), utot_half_re_.end(), 0.0);
-  std::fill(utot_half_im_.begin(), utot_half_im_.end(), 0.0);
-
-  for (int k = 0; k < nn; ++k) {
-    ck_cache_[k] = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                 params_.rmin0, params_.switch_flag);
-    wj_cache_[k] = wj.empty() ? 1.0 : wj[k];
-    double* ur = ucache_re_.data() + static_cast<std::size_t>(k) * nh;
-    double* ui = ucache_im_.data() + static_cast<std::size_t>(k) * nh;
-    u_half_recursion(ck_cache_[k], ur, ui);
-    const double w = wj_cache_[k] * ck_cache_[k].fc;
-    for (int e = 0; e < nh; ++e) {
-      utot_half_re_[e] += w * ur[e];
-      utot_half_im_[e] += w * ui[e];
-    }
-  }
-
-  // Self contribution on the stored part of the diagonal; the mirrored
-  // diagonal elements (ma = mb > j/2) inherit it through the expansion
-  // below, since a real diagonal value is its own mirror image.
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    for (int ma = 0; ma <= j / 2; ++ma) {
-      utot_half_re_[idx_.u_half_index(j, ma, ma)] += params_.wself;
-    }
-  }
-
-  mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
 }
 
 void Bispectrum::pack_ck_lane(int k0, int lane, int width) {
@@ -266,8 +174,11 @@ void Bispectrum::pack_ck_lane(int k0, int lane, int width) {
   simd_wfc_[lane] = active ? wj_cache_[k] * ck.fc : 0.0;
 }
 
-void Bispectrum::compute_ui_simd(std::span<const Vec3> rij,
-                                 std::span<const double> wj) {
+void Bispectrum::compute_ui(std::span<const Vec3> rij,
+                            std::span<const double> wj) {
+  EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
+                "weight array size mismatch");
+  have_z_ = false;
   const int nh = idx_.u_half_total();
   const int nn = static_cast<int>(rij.size());
   const int w = simd_ops_->width;
@@ -311,9 +222,8 @@ void Bispectrum::compute_ui_simd(std::span<const Vec3> rij,
   }
 
   // Reduce the lane accumulator into the element-major half planes (the
-  // neighbor sum is re-associated across lanes; the difference from the
-  // scalar loop is pure summation-order rounding, within the 1e-12 parity
-  // budget).
+  // neighbor sum is re-associated across lanes; tiers differ by pure
+  // summation-order rounding, within the 1e-12 parity budget).
   for (int e = 0; e < nh; ++e) {
     double sr = 0.0;
     double si = 0.0;
@@ -332,18 +242,6 @@ void Bispectrum::compute_ui_simd(std::span<const Vec3> rij,
   }
 
   mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
-}
-
-void Bispectrum::compute_ui(std::span<const Vec3> rij,
-                            std::span<const double> wj) {
-  EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
-                "weight array size mismatch");
-  have_z_ = false;
-  if (simd_active() && !rij.empty()) {
-    compute_ui_simd(rij, wj);
-  } else {
-    compute_ui_scalar(rij, wj);
-  }
 }
 
 Cplx Bispectrum::z_element(const ZTriple& t, int ma, int mb) const {
@@ -496,120 +394,9 @@ void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
           wj * (ck.dfc[d] * ulist_[i] + ck.fc * dulist_raw_[i].d[d]);
     }
   }
-  du_half_valid_ = false;
-}
-
-void Bispectrum::compute_duidrj_cached(int k) {
-  EMBER_REQUIRE(k >= 0 && k < nnbor_cached_,
-                "neighbor index outside the cached compute_ui set");
-  const int tj = params_.twojmax;
-  const int nh = idx_.u_half_total();
-  const CayleyKlein& ck = ck_cache_[k];
-  const double* ur = ucache_re_.data() + static_cast<std::size_t>(k) * nh;
-  const double* ui = ucache_im_.data() + static_cast<std::size_t>(k) * nh;
-  if (simd_active()) {
-    // The vector compute_ui cached bare U lane-interleaved; gather neighbor
-    // k's lane back into a contiguous plane so the scalar derivative
-    // recursion below runs unmodified.
-    const int w = simd_ops_->width;
-    const std::size_t base =
-        static_cast<std::size_t>(k / w) * nh * w + static_cast<std::size_t>(k % w);
-    for (int e = 0; e < nh; ++e) {
-      u_gather_re_[e] = ucache_re_[base + static_cast<std::size_t>(e) * w];
-      u_gather_im_[e] = ucache_im_[base + static_cast<std::size_t>(e) * w];
-    }
-    ur = u_gather_re_.data();
-    ui = u_gather_im_.data();
-  }
-
-  // Derivative-only recursion over the half range: the bare U values the
-  // chain rule needs come from the cache filled by compute_ui, so the
-  // duplicate O(J^3) U recursion of compute_duidrj disappears.
-  for (int d = 0; d < 3; ++d) {
-    du_half_re_[d][0] = 0.0;
-    du_half_im_[d][0] = 0.0;
-  }
-  for (int j = 1; j <= tj; ++j) {
-    const int blk = idx_.u_half_block(j);
-    const int pblk = idx_.u_half_block(j - 1);
-    const int hs = j / 2 + 1;
-    const int phs = (j - 1) / 2 + 1;
-    for (int mb = 0; mb <= j / 2; ++mb) {
-      const bool zc = (mb == 0);
-      const Cplx cu = zc ? -conj(ck.b) : ck.a;
-      const Cplx cd = zc ? conj(ck.a) : ck.b;
-      Cplx dcu[3];
-      Cplx dcd[3];
-      for (int d = 0; d < 3; ++d) {
-        dcu[d] = zc ? -conj(ck.db[d]) : ck.da[d];
-        dcd[d] = zc ? conj(ck.da[d]) : ck.db[d];
-      }
-      const int pcol = zc ? 0 : mb - 1;
-      const int denom = zc ? j : mb;
-      for (int ma = 0; ma <= j; ++ma) {
-        Cplx dv[3]{};
-        if (ma > 0) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(ma) * (tj + 1) + denom];
-          const int p = pblk + (ma - 1) * phs + pcol;
-          const Cplx up{ur[p], ui[p]};
-          for (int d = 0; d < 3; ++d) {
-            const Cplx dup{du_half_re_[d][p], du_half_im_[d][p]};
-            dv[d] += r * (dcu[d] * up + cu * dup);
-          }
-        }
-        if (ma < j) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(j - ma) * (tj + 1) + denom];
-          const int p = pblk + ma * phs + pcol;
-          const Cplx up{ur[p], ui[p]};
-          for (int d = 0; d < 3; ++d) {
-            const Cplx dup{du_half_re_[d][p], du_half_im_[d][p]};
-            dv[d] += r * (dcd[d] * up + cd * dup);
-          }
-        }
-        const int e = blk + ma * hs + mb;
-        for (int d = 0; d < 3; ++d) {
-          du_half_re_[d][e] = dv[d].re;
-          du_half_im_[d][e] = dv[d].im;
-        }
-      }
-    }
-  }
-
-  // Product rule d(w fc u)/dr = w (dfc u + fc du), vectorized per plane.
-  const double w = wj_cache_[k];
-  const double fc = ck.fc;
-  for (int d = 0; d < 3; ++d) {
-    const double dfc = ck.dfc[d];
-    double* dre = du_half_re_[d].data();
-    double* dim = du_half_im_[d].data();
-    for (int e = 0; e < nh; ++e) {
-      dre[e] = w * (dfc * ur[e] + fc * dre[e]);
-      dim[e] = w * (dfc * ui[e] + fc * dim[e]);
-    }
-  }
-  du_half_valid_ = true;
 }
 
 Vec3 Bispectrum::compute_deidrj() const {
-  if (du_half_valid_) {
-    // Half-range contraction: compute_yi pre-folded the half_weight table
-    // into the Y planes, so each dimension is a pure 2-plane dot product.
-    const int nh = idx_.u_half_total();
-    Vec3 de;
-    for (int d = 0; d < 3; ++d) {
-      const double* dre = du_half_re_[d].data();
-      const double* dim = du_half_im_[d].data();
-      double sum = 0.0;
-      for (int e = 0; e < nh; ++e) {
-        sum += y_half_re_[e] * dre[e] + y_half_im_[e] * dim[e];
-      }
-      de[d] = sum;
-    }
-    return de;
-  }
-
   Vec3 de;
   for (int i = 0; i < idx_.u_total(); ++i) {
     const Cplx y = ylist_[i];
@@ -621,22 +408,14 @@ Vec3 Bispectrum::compute_deidrj() const {
   // dependency paths of every B component (direct + two permuted), so the
   // full-matrix contraction IS the complete chain rule. (Codes that sum
   // only half the (ma,mb) range restore the other half with a factor 2 —
-  // the half-range branch above does exactly that through the
-  // half_weight table.)
+  // compute_yi_coeffs folds exactly that into the half-range Y planes
+  // through the half_weight table.)
   return de;
 }
 
 void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
   EMBER_REQUIRE(static_cast<int>(de.size()) >= nnbor_cached_,
                 "force span smaller than the cached neighbor set");
-  if (!simd_active()) {
-    for (int k = 0; k < nnbor_cached_; ++k) {
-      compute_duidrj_cached(k);
-      de[k] = compute_deidrj();
-    }
-    return;
-  }
-
   const int nh = idx_.u_half_total();
   const int w = simd_ops_->width;
   const std::size_t plane = static_cast<std::size_t>(nh) * w;
@@ -670,9 +449,6 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
                               simd_out_[2 * w + lane]};
     }
   }
-  // The lane-interleaved dU scratch is not the scalar half layout; keep
-  // compute_deidrj from reading it.
-  du_half_valid_ = false;
 }
 
 void Bispectrum::compute_dbidrj() {
@@ -744,7 +520,8 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // paper's own numbers come from measured FLOP counters, so these serve the
 // same role (converting measured time into a FLOP rate). The adjoint
 // counts cover only the half column range the production kernel executes,
-// the mirror expansions, and the recursion-free cached dU pass.
+// the mirror expansions, and the recursion-free cached dU pass with its
+// fused contraction.
 
 namespace {
 double z_sweep_flops(const SnapIndex& idx, bool canonical_only,
@@ -817,22 +594,15 @@ double Bispectrum::flops_duidrj_full() const {
 }
 
 double Bispectrum::flops_duidrj() const {
-  if (simd_active()) {
-    // V8 fuses the product rule into the contraction (see flops_deidrj);
-    // the dU pass is the bare derivative recursion alone.
-    return 48.0 * static_cast<double>(idx_.u_half_total());
-  }
-  // cached scheme: no mapping, no U recursion; derivative recursion
-  // (3 dims * 16) + product rule 12, over the half range only.
-  return (48.0 + 12.0) * static_cast<double>(idx_.u_half_total());
+  // cached scheme: no mapping, no U recursion; the product rule is fused
+  // into the contraction (see flops_deidrj), so the dU pass is the bare
+  // derivative recursion (3 dims * 16) over the half range alone.
+  return 48.0 * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_deidrj() const {
-  if (simd_active()) {
-    // fused pass: S0 (4) + three Sd dots (12) per half element.
-    return 16.0 * static_cast<double>(idx_.u_half_total());
-  }
-  return 12.0 * static_cast<double>(idx_.u_half_total());
+  // fused pass: S0 (4) + three Sd dots (12) per half element.
+  return 16.0 * static_cast<double>(idx_.u_half_total());
 }
 
 double Bispectrum::flops_dbidrj() const {

@@ -16,12 +16,12 @@
 // neighbor's bare U list and Cayley-Klein mapping are cached during
 // compute_ui so the force pass runs the derivative-only recursion, and
 // U/Y/dU live in split re/im planes (SoA). On top of that ("V8"), ui and
-// the dU + Y : conj(dU) pass run over blocks of neighbors with explicit
-// SIMD, one neighbor per vector lane (4 for AVX2, 8 for AVX-512; see
-// src/snap/simd/). The backend is chosen at construction by a runtime
-// CPUID probe clamped by EMBER_SIMD=avx512|avx2|scalar. With no vector
-// backend (non-x86 builds, EMBER_SIMD=scalar) the same half-range math
-// runs as plain scalar loops.
+// the dU + Y : conj(dU) pass run over blocks of neighbors through the
+// width-generic kernels of src/snap/simd/, one neighbor per lane (1 for
+// the scalar table, 4 for AVX2, 8 for AVX-512). The table is chosen at
+// construction by a runtime CPUID probe clamped by
+// EMBER_SIMD=avx512|avx2|scalar; non-x86 builds and EMBER_SIMD=scalar run
+// the width-1 table.
 //
 // Full-range utot/ylist mirrors are kept, so the full-range reference
 // stages stay valid on any instance:
@@ -31,8 +31,9 @@
 //   compute_duidrj -> compute_deidrj          per-neighbor dE, full range
 //
 // FitSNAP-lite (src/fit/trainer.cpp) and quadratic models need B and dB,
-// and tests use these stages as the parity reference for the production
-// kernel (<= 1e-12 per force component, tests/snap/).
+// and tests use these stages, with closed-form Wigner U and TestSNAP V3,
+// as the parity reference for the production kernel (<= 1e-12 per force
+// component, tests/snap/).
 //
 // The same instance can be reused across atoms (buffers are reset by
 // compute_ui). Instances are NOT thread-safe; create one per thread.
@@ -99,34 +100,24 @@ class Bispectrum {
   void compute_yi_coeffs(std::span<const double> coeffs);
 
   // Per-neighbor derivative d(w fc u)/dr for the given displacement;
-  // fills the internal dU buffer used by the two force kernels below.
+  // fills the internal dU buffer used by compute_deidrj/compute_dbidrj.
   // Runs the full-range U + dU recursion from scratch (reference path).
   void compute_duidrj(const Vec3& rij, double wj);
-
-  // Derivative recursion for neighbor k of the last compute_ui call,
-  // reusing its cached Cayley-Klein mapping and bare U list (half range,
-  // no U recomputation). Under a vector backend the lane-interleaved
-  // bare-U cache is gathered back into a contiguous scratch first.
-  void compute_duidrj_cached(int k);
 
   // Number of neighbors cached by the last compute_ui.
   [[nodiscard]] int cached_neighbors() const { return nnbor_cached_; }
 
   // Blocked dU + dE pass over every neighbor cached by the last
   // compute_ui: de[k] = dE_i/dr_k. Requires compute_yi/compute_yi_coeffs.
-  // Under an active SIMD backend each block of lane_width neighbors runs
-  // the derivative recursion and the fused Y : conj(dU) contraction in
-  // vector registers; otherwise this is exactly the per-neighbor
-  // compute_duidrj_cached + compute_deidrj loop.
+  // Each block of lane_width neighbors runs the derivative recursion and
+  // the fused Y : conj(dU) contraction in one dei_block call.
   void compute_deidrj_all(std::span<Vec3> de);
 
-  // ISA this instance dispatched to at construction (Scalar when no
-  // vector backend applies).
+  // ISA this instance dispatched to at construction.
   [[nodiscard]] simd::SimdIsa simd_isa() const { return simd_isa_; }
 
-  // Adjoint force kernel: dE_i/dr_k = 2 Re sum_j Y_j : conj(dU_j).
-  // Contracts over whichever dU form the last compute_duidrj* call
-  // produced (full range, or weighted half range).
+  // Full-range adjoint force kernel: dE_i/dr_k = Re sum_j Y_j : conj(dU_j)
+  // over the dU of the last compute_duidrj (reference path).
   [[nodiscard]] Vec3 compute_deidrj() const;
 
   // Baseline force kernel: dB_l/dr_k for every canonical triple
@@ -155,16 +146,17 @@ class Bispectrum {
 
   // ---- analytic FLOP estimates (double-precision mul+add counted as 2) --
   // The adjoint counts reflect the work the production kernel executes:
-  // the halved column range, the cached (recursion-free) dU pass and the
-  // mirror expansions, so reported FLOP rates stay honest. The zi/bi/dbidrj
-  // and _full counts describe the full-range reference stages.
+  // the halved column range, the cached (recursion-free) dU pass with the
+  // fused contraction, and the mirror expansions, so reported FLOP rates
+  // stay honest. The zi/bi/dbidrj and _full counts describe the full-range
+  // reference stages.
   [[nodiscard]] double flops_ui(int nnbor) const;
   [[nodiscard]] double flops_zi() const;
   [[nodiscard]] double flops_bi() const;
   [[nodiscard]] double flops_yi() const;
-  [[nodiscard]] double flops_duidrj() const;   // per neighbor, cached pass
+  [[nodiscard]] double flops_duidrj() const;   // per neighbor, dU recursion
   [[nodiscard]] double flops_duidrj_full() const;  // full-range recursion
-  [[nodiscard]] double flops_deidrj() const;   // per neighbor
+  [[nodiscard]] double flops_deidrj() const;   // per neighbor, fused dot
   [[nodiscard]] double flops_dbidrj() const;   // per neighbor
   // Total per-atom FLOPs of the adjoint path with nnbor neighbors.
   [[nodiscard]] double flops_adjoint_atom(int nnbor) const;
@@ -174,22 +166,6 @@ class Bispectrum {
   // derivative recursion into dulist_raw_ (du of the bare u, before the
   // fc/weight product rule).
   void u_recursion(const CayleyKlein& ck, bool with_derivatives);
-
-  // Bare half-range U recursion into split re/im planes (compact half
-  // layout, u_half_total elements).
-  void u_half_recursion(const CayleyKlein& ck, double* ur, double* ui) const;
-
-  // Scalar compute_ui: accumulate + cache + mirror.
-  void compute_ui_scalar(std::span<const Vec3> rij,
-                         std::span<const double> wj);
-
-  // Vector compute_ui: lane-blocked variant; fills the lane-interleaved
-  // bare-U cache and reduces the lane accumulator into the half planes.
-  void compute_ui_simd(std::span<const Vec3> rij, std::span<const double> wj);
-
-  // True when this instance dispatched to a vector backend (the
-  // CPU/binary/EMBER_SIMD resolution picked AVX2/AVX-512).
-  [[nodiscard]] bool simd_active() const { return simd_ops_ != nullptr; }
 
   // Pack lane l of the block starting at neighbor k0 into simd_ck_ /
   // simd_wfc_ (padded lanes repeat the last active neighbor, weight 0).
@@ -227,28 +203,22 @@ class Bispectrum {
   bool have_z_ = false;
 
   // ---- adjoint-kernel state (half layout, SoA planes) ----
-  // All planes are 64-byte aligned (aligned_vector) so the V8 backend can
-  // issue aligned vector loads; the scalar code is indifferent.
+  // All planes are 64-byte aligned (aligned_vector) so the V8 kernels can
+  // issue aligned vector loads.
   std::vector<CayleyKlein> ck_cache_;   // per-neighbor mapping (V7)
   std::vector<double> wj_cache_;        // per-neighbor weights
-  aligned_vector<double> ucache_re_;    // bare U cache (V7): scalar
-  aligned_vector<double> ucache_im_;    //   nnbor x nh element-major, vector
-                                        //   nblock x nh x width interleaved
+  aligned_vector<double> ucache_re_;    // bare U cache (V7):
+  aligned_vector<double> ucache_im_;    //   nblock x nh x width interleaved
   aligned_vector<double> utot_half_re_; // half-range accumulation (V5/V6)
   aligned_vector<double> utot_half_im_;
   aligned_vector<double> y_half_re_;    // half-range adjoint (V5/V6)
   aligned_vector<double> y_half_im_;
-  aligned_vector<double> du_half_re_[3]; // half-range d(w fc u)/dr (V6)
-  aligned_vector<double> du_half_im_[3];
   std::vector<double> yi_coeff_scratch_;  // per-triple beta fold
   int nnbor_cached_ = 0;
-  // Which form the last compute_duidrj* call produced: half planes
-  // (cached) or the full dulist_.
-  bool du_half_valid_ = false;
 
-  // ---- vector-backend state (V8) ----
+  // ---- kernel-table state (V8) ----
   simd::SimdIsa simd_isa_ = simd::SimdIsa::Scalar;
-  const simd::SimdOps* simd_ops_ = nullptr;  // nullptr => scalar loops
+  const simd::SimdOps* simd_ops_ = nullptr;  // ops_for(simd_isa_)
   aligned_vector<double> simd_ck_;       // kCkSlots x width lane-packed CK
   aligned_vector<double> simd_wfc_;      // wj * fc per lane (0 when padded)
   aligned_vector<double> simd_acc_re_;   // lane-interleaved Utot accum
@@ -256,8 +226,6 @@ class Bispectrum {
   aligned_vector<double> simd_du_re_[3]; // lane-interleaved dU scratch
   aligned_vector<double> simd_du_im_[3];
   aligned_vector<double> simd_out_;      // 3 x width force lanes
-  aligned_vector<double> u_gather_re_;   // contiguous single-neighbor U
-  aligned_vector<double> u_gather_im_;   //   (compute_duidrj_cached compat)
 };
 
 }  // namespace ember::snap

@@ -4,9 +4,10 @@
 //
 // The production SNAP kernel batches the Wigner-U recursion and the
 // Y : dU* adjoint contraction over blocks of neighbors, one neighbor per
-// vector lane (4 for AVX2, 8 for AVX-512). Which backend runs is decided
-// at runtime, once per Bispectrum construction; EMBER_SIMD is the only
-// knob:
+// vector lane (1 for Scalar, 4 for AVX2, 8 for AVX-512). Every tier runs
+// the same width-generic kernels (kernels_impl.hpp); which table runs is
+// decided at runtime, once per Bispectrum construction; EMBER_SIMD is the
+// only knob:
 //
 //   max_supported_isa()  CPUID probe of the executing machine, clamped to
 //                        the backends this binary was built with (non-x86
@@ -17,10 +18,10 @@
 //                        throw. The override can only lower the ISA —
 //                        requesting AVX-512 on an AVX2 host yields AVX2.
 //
-// Scalar means "no SimdOps table": Bispectrum then executes the same
-// half-range math as plain scalar loops (the TestSNAP V7-style cached
-// scheme; its parity with every vector backend is pinned by
-// tests/snap/test_simd_kernel.cpp).
+// EMBER_SIMD=scalar runs the width-1 table (kernels_scalar.cpp). The
+// references every tier is checked against are the full-range stages
+// (Bispectrum::compute_duidrj + compute_deidrj), closed-form Wigner U and
+// TestSNAP V3 (tests/snap/).
 //
 // This header is intrinsics-free; immintrin.h is confined to the
 // kernels_avx*.cpp translation units (enforced by ember_lint's
@@ -29,7 +30,7 @@
 namespace ember::snap::simd {
 
 enum class SimdIsa {
-  Scalar,  // no vector backend; scalar half-range loops run
+  Scalar,  // 1 neighbor lane, base ISA (kernels_scalar.cpp)
   Avx2,    // 4 neighbor lanes per 256-bit register
   Avx512,  // 8 neighbor lanes per 512-bit register
 };
@@ -48,8 +49,8 @@ enum class SimdIsa {
 
 struct SimdOps;
 
-// Kernel table for a vector ISA, or nullptr for Scalar (callers fall
-// back to the scalar loops).
-[[nodiscard]] const SimdOps* ops_for(SimdIsa isa);
+// Kernel table for an ISA; never null. An ISA this binary was built
+// without falls back to the width-1 scalar table.
+[[nodiscard]] const SimdOps& ops_for(SimdIsa isa);
 
 }  // namespace ember::snap::simd

@@ -15,8 +15,9 @@
 // the weighted accumulation and their force outputs are ignored.
 //
 // The structs below are plain pointers + sizes so this header needs no
-// intrinsics; the implementations live in kernels_avx2.cpp /
-// kernels_avx512.cpp (the only TUs allowed to include immintrin.h).
+// intrinsics; the implementations live in kernels_scalar.cpp (width 1,
+// base ISA) and kernels_avx2.cpp / kernels_avx512.cpp (the only TUs
+// allowed to include immintrin.h).
 
 namespace ember::snap::simd {
 
@@ -61,7 +62,8 @@ struct UiBlockArgs {
 //   out[d * width + l] = w_l * (dfc_dl * S0_l + fc_l * Sd_l)
 // with S0 = sum_e y[e] . u[e] and Sd = sum_e y[e] . du_d[e] over the
 // (weight-folded) half-range Y planes — algebraically identical to the
-// scalar product-rule pass followed by the plane dot product.
+// product rule d(w fc u) = w (dfc u + fc du) followed by the plane dot
+// product.
 struct DeiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;
@@ -83,8 +85,10 @@ struct SimdOps {
   void (*dei_block)(const DeiBlockArgs&) = nullptr;
 };
 
-// Defined in the per-ISA TUs; only compiled when the toolchain supports
-// the flags (EMBER_SNAP_HAVE_AVX2 / EMBER_SNAP_HAVE_AVX512).
+// Defined in the per-ISA TUs. scalar_ops() is always built; the vector
+// tables only when the toolchain supports the flags
+// (EMBER_SNAP_HAVE_AVX2 / EMBER_SNAP_HAVE_AVX512).
+[[nodiscard]] const SimdOps& scalar_ops();
 [[nodiscard]] const SimdOps& avx2_ops();
 [[nodiscard]] const SimdOps& avx512_ops();
 

@@ -1,26 +1,29 @@
 #pragma once
 
-// Width-generic implementations of the V8 SIMD kernels.
+// Width-generic implementations of the V8 SIMD kernels: the one ui/dei
+// implementation every tier runs.
 //
-// Included only by the per-ISA translation units (kernels_avx2.cpp,
-// kernels_avx512.cpp), each of which supplies a vector wrapper V over its
-// native register type:
+// Included only by the per-ISA translation units (kernels_scalar.cpp,
+// kernels_avx2.cpp, kernels_avx512.cpp), each of which supplies a vector
+// wrapper V over its native register type (a plain double at width 1):
 //
 //   static constexpr int width;            lanes per register
 //   static V load(const double*);          aligned load
 //   void store_to(double*) const;          aligned store
 //   static V broadcast(double); zero();
 //   static V neg(V);
-//   static V fma(a, b, c)   = a * b + c    (single-rounding FMA)
-//   static V fmsub(a, b, c) = a * b - c
+//   static V fma(a, b, c)   = a * b + c    (single-rounding FMA on the
+//   static V fmsub(a, b, c) = a * b - c     vector ISAs)
 //   operators *, +, -  (element-wise)
 //
-// The loop structure deliberately mirrors Bispectrum::u_half_recursion and
-// compute_duidrj_cached statement by statement — the scalar code is the
-// reference; only the innermost arithmetic is widened across the neighbor
-// lanes. Keeping the association order identical per lane is what holds
-// vector-vs-scalar parity at <= 1e-12 (the residual difference is pure
-// FMA contraction rounding).
+// ui_block runs the bare-U recursion over the half column range
+// (2*mb <= j; the rest follow from the conjugation mirror), dei_block the
+// derivative-only recursion on the cached bare U plus the fused product
+// rule and Y : dU* contraction. Each lane is one neighbor; the
+// association order per lane is the same at every width, so tiers differ
+// only by FMA contraction rounding. The references are the full-range
+// stages (Bispectrum::u_recursion via compute_duidrj + compute_deidrj),
+// closed-form Wigner U and TestSNAP V3, at <= 1e-12 (tests/snap/).
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).

@@ -1,0 +1,39 @@
+// Width-1 backend: the scalar tier runs the same lane-generic kernels as
+// the vector ISAs, one neighbor per "block". Compiled for the base ISA
+// with no intrinsics; fma is spelled a * b + c rather than std::fma,
+// which is a libm call where the base ISA has no FMA instruction.
+
+#include "snap/simd/kernels_impl.hpp"
+
+namespace ember::snap::simd {
+namespace {
+
+struct Vec1 {
+  double v;
+
+  static constexpr int width = 1;
+
+  static Vec1 load(const double* p) { return {*p}; }
+  void store_to(double* p) const { *p = v; }
+  static Vec1 broadcast(double x) { return {x}; }
+  static Vec1 zero() { return {0.0}; }
+  static Vec1 neg(Vec1 a) { return {-a.v}; }
+  static Vec1 fma(Vec1 a, Vec1 b, Vec1 c) { return {a.v * b.v + c.v}; }
+  static Vec1 fmsub(Vec1 a, Vec1 b, Vec1 c) { return {a.v * b.v - c.v}; }
+  friend Vec1 operator*(Vec1 a, Vec1 b) { return {a.v * b.v}; }
+  friend Vec1 operator+(Vec1 a, Vec1 b) { return {a.v + b.v}; }
+  friend Vec1 operator-(Vec1 a, Vec1 b) { return {a.v - b.v}; }
+};
+
+}  // namespace
+
+const SimdOps& scalar_ops() {
+  static const SimdOps ops{
+      Vec1::width,
+      [](const UiBlockArgs& args) { ui_block_impl<Vec1>(args); },
+      [](const DeiBlockArgs& args) { dei_block_impl<Vec1>(args); },
+  };
+  return ops;
+}
+
+}  // namespace ember::snap::simd

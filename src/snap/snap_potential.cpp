@@ -301,7 +301,7 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
         stage.reset();
       }
       // Blocked dU + dE pass over the neighbors cached by compute_ui
-      // (lane-vectorized blocks under a vector backend).
+      // (one neighbor per lane of the dispatched kernel table).
       de_buf->resize(nn);
       bi->compute_deidrj_all(*de_buf);
       for (int m = 0; m < nn; ++m) {

@@ -83,10 +83,10 @@ TEST(Dynamics, ThreadedNveDriftMatchesSerial) {
 }
 
 TEST(Dynamics, SnapNveDriftIsKernelIndependent) {
-  // The dispatched SIMD backend must integrate the same NVE trajectory as
-  // the scalar lowering (EMBER_SIMD=scalar): per-step force parity is
-  // <= 1e-12, so over a short run positions track tightly and the energy
-  // drift of the two backends is indistinguishable.
+  // The dispatched SIMD table must integrate the same NVE trajectory as
+  // the width-1 scalar table (EMBER_SIMD=scalar): per-step force parity
+  // is <= 1e-12, so over a short run positions track tightly and the
+  // energy drift of the two tables is indistinguishable.
   auto make_snap_sim = [] {
     snap::SnapParams p;
     p.twojmax = 6;

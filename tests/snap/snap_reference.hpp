@@ -9,8 +9,9 @@
 // O(J^5) and the dB pass is O(J^5) per neighbor: slow, and independent of
 // the adjoint Y / half-range / SIMD machinery SnapPotential runs, which
 // makes it the parity oracle for that production kernel. Utot comes from
-// compute_ui pinned to the scalar lowering, so on a vector host even the
-// shared first stage runs different code than SnapPotential's.
+// compute_ui pinned to the width-1 scalar table, so on a vector host even
+// the shared first stage runs at a different lane width than
+// SnapPotential's.
 
 #include <vector>
 

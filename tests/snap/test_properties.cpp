@@ -184,8 +184,8 @@ TEST(SnapScaling, UiCostIsLinearInNeighbors) {
   SnapParams p;
   p.twojmax = 8;
   p.rcut = 4.2;
-  // The per-neighbor cost law is a property of the scalar lowering: a
-  // vector backend pads each call to whole blocks of lanes (10 neighbors
+  // The per-neighbor cost law is a property of the width-1 scalar table:
+  // a vector table pads each call to whole blocks of lanes (10 neighbors
   // cost 16 on AVX-512), so its cost is linear in blocks, not neighbors.
   ScopedSimdEnv env("scalar");
   Bispectrum bi(p);

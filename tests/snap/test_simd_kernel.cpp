@@ -1,12 +1,12 @@
 // SIMD ("V8") dispatch parity contract: the production kernel on the
-// dispatched vector backend must reproduce its scalar lowering
-// (EMBER_SIMD=scalar, the TestSNAP V7-style half-range cached scheme) to
-// <= 1e-12 per component across 2J, neighbor counts that exercise every
-// remainder-lane case, thread counts, and the full SnapPotential
-// evaluation. The scalar blocked force pass must be the per-neighbor
-// cached scheme *bitwise*, default parameters must dispatch
-// simd::choose_isa(), and the dispatcher must reject unknown override
-// values.
+// dispatched vector table must agree with the width-1 scalar table
+// (EMBER_SIMD=scalar) and with the full-range reference stages
+// (compute_duidrj + compute_deidrj) to <= 1e-12 per component across 2J,
+// neighbor counts that exercise every remainder-lane case, thread counts,
+// and the full SnapPotential evaluation. Every ISA the binary supports
+// must have a kernel table of its lane width, default parameters must
+// dispatch simd::choose_isa(), and the dispatcher must reject unknown
+// override values.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "md/neighbor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "snap/simd/dispatch.hpp"
+#include "snap/simd/kernels.hpp"
 #include "snap/snap_potential.hpp"
 #include "scoped_simd_env.hpp"
 
@@ -36,7 +37,7 @@ SnapParams base_params(int twojmax) {
   return p;
 }
 
-// A kernel instance pinned to the scalar lowering.
+// A kernel instance pinned to the width-1 scalar table.
 Bispectrum scalar_kernel(const SnapParams& p) {
   ScopedSimdEnv env("scalar");
   return Bispectrum(p);
@@ -88,31 +89,23 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
     const double e_simd = simd.energy_from_yi(0.4, beta);
     EXPECT_NEAR(e_simd, e_scalar, 1e-12 * std::max(1.0, std::abs(e_scalar)));
 
-    // Blocked force pass vs the per-neighbor cached scheme; the padded
-    // remainder lanes must not leak into any neighbor's force.
+    // Blocked force pass, dispatched vs width-1, and each against the
+    // full-range recursion: the scalar table runs the same template as
+    // the vector ones, so only the reference catches a template bug. The
+    // padded remainder lanes must not leak into any neighbor's force.
     std::vector<Vec3> de_simd(rij.size());
+    std::vector<Vec3> de_scalar(rij.size());
     simd.compute_deidrj_all(de_simd);
+    scalar.compute_deidrj_all(de_scalar);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      scalar.compute_duidrj_cached(static_cast<int>(m));
-      const Vec3 de_scalar = scalar.compute_deidrj();
+      scalar.compute_duidrj(rij[m], wj[m]);
+      const Vec3 de_full = scalar.compute_deidrj();
       for (int d = 0; d < 3; ++d) {
-        EXPECT_NEAR(de_simd[m][d], de_scalar[d], 1e-12)
+        EXPECT_NEAR(de_simd[m][d], de_scalar[m][d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
-      }
-    }
-
-    // The single-neighbor cached entry point stays valid on a vector
-    // backend (it gathers the lane-interleaved U cache back into scalar
-    // planes).
-    scalar.compute_yi(beta);
-    simd.compute_yi(beta);
-    for (std::size_t m = 0; m < rij.size(); ++m) {
-      scalar.compute_duidrj_cached(static_cast<int>(m));
-      const Vec3 de_scalar = scalar.compute_deidrj();
-      simd.compute_duidrj_cached(static_cast<int>(m));
-      const Vec3 de_one = simd.compute_deidrj();
-      for (int d = 0; d < 3; ++d) {
-        EXPECT_NEAR(de_one[d], de_scalar[d], 1e-12)
+        EXPECT_NEAR(de_simd[m][d], de_full[d], 1e-12)
+            << "n=" << nn << " neighbor " << m << " dim " << d;
+        EXPECT_NEAR(de_scalar[m][d], de_full[d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
       }
     }
@@ -122,28 +115,18 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
 INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SimdKernelParity,
                          ::testing::Values(2, 4, 8));
 
-TEST(SimdDispatch, ScalarOverrideIsBitwiseSymmetric) {
-  ScopedSimdEnv env("scalar");
-  Rng rng(7);
-  const auto rij = random_shell(rng, 9, 0.8, 3.2);
-
-  Bispectrum bi(base_params(8));
-  EXPECT_EQ(bi.simd_isa(), simd::SimdIsa::Scalar);
-  std::vector<double> beta(bi.num_b());
-  for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
-
-  bi.compute_ui(rij, {});
-  bi.compute_yi(beta);
-  std::vector<Vec3> de_blocked(rij.size());
-  bi.compute_deidrj_all(de_blocked);
-  for (std::size_t m = 0; m < rij.size(); ++m) {
-    // Exact equality: with no vector backend the blocked pass IS the
-    // per-neighbor cached (Symmetric) scheme.
-    bi.compute_duidrj_cached(static_cast<int>(m));
-    const Vec3 de_one = bi.compute_deidrj();
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_EQ(de_blocked[m][d], de_one[d]) << "neighbor " << m;
-    }
+TEST(SimdDispatch, EveryIsaHasAKernelTable) {
+  // Every tier the binary can run has a table of its own lane width; the
+  // scalar tier is the width-1 table, not a separate code path.
+  EXPECT_EQ(&simd::ops_for(simd::SimdIsa::Scalar), &simd::scalar_ops());
+  EXPECT_EQ(simd::scalar_ops().width, 1);
+  const int cap = static_cast<int>(simd::max_supported_isa());
+  for (int i = 0; i <= cap; ++i) {
+    const auto isa = static_cast<simd::SimdIsa>(i);
+    const simd::SimdOps& ops = simd::ops_for(isa);
+    EXPECT_EQ(ops.width, simd::lane_width(isa)) << simd::to_string(isa);
+    EXPECT_NE(ops.ui_block, nullptr) << simd::to_string(isa);
+    EXPECT_NE(ops.dei_block, nullptr) << simd::to_string(isa);
   }
 }
 

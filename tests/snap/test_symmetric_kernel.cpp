@@ -150,7 +150,8 @@ INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SymmetricKernelParity,
 TEST(SymmetricKernel, MixedStageSequenceStaysCorrect) {
   // The full-range compute_duidrj entry point must remain valid (the
   // trainer and the reference force loops use it), including when
-  // interleaved with cached calls on the same instance.
+  // interleaved with blocked force passes on the same instance: neither
+  // may disturb the other's cached state.
   Rng rng(91);
   const auto rij = random_shell(rng, 12, 0.9, 3.0);
   Bispectrum bi(base_params(8));
@@ -159,14 +160,20 @@ TEST(SymmetricKernel, MixedStageSequenceStaysCorrect) {
 
   bi.compute_ui(rij, {});
   bi.compute_yi(beta);
+  std::vector<Vec3> de_first(rij.size());
+  bi.compute_deidrj_all(de_first);
   for (std::size_t m = 0; m < rij.size(); ++m) {
-    bi.compute_duidrj_cached(static_cast<int>(m));
-    const Vec3 de_cached = bi.compute_deidrj();
     bi.compute_duidrj(rij[m], 1.0);  // full-range recursion, same neighbor
     const Vec3 de_full = bi.compute_deidrj();
+    std::vector<Vec3> de_again(rij.size());
+    bi.compute_deidrj_all(de_again);
     for (int d = 0; d < 3; ++d) {
-      EXPECT_NEAR(de_cached[d], de_full[d], 1e-12);
+      EXPECT_NEAR(de_first[m][d], de_full[d], 1e-12);
+      // The blocked pass reads only the compute_ui/compute_yi caches.
+      EXPECT_EQ(de_again[m][d], de_first[m][d]);
     }
+    // ... and the full-range dU survives a blocked pass in between.
+    EXPECT_EQ(bi.compute_deidrj()[0], de_full[0]);
   }
 }
 
