@@ -19,10 +19,11 @@ scale (DESIGN.md section 11):
       operator[]: a stale index into a rebuilt list is the classic silent
       corruption in MD codes.
   obs-span-early-return
-      A bare { } block whose first statement is EMBER_OBS_SPAN is an
-      instrumentation scope; a `return` inside one leaks control flow out
-      of a region the trace claims completed, and under EMBER_OBS=OFF
-      the block silently changes meaning.
+      A bare { } block whose first statement declares an obs::ScopedSpan
+      is an instrumentation scope: one stage timed by one span, whose
+      clock pair feeds both the trace and the stage's TimerSet bucket. A
+      `return` inside one leaks control flow out of a region the trace
+      and the Fig. 4 breakdown both claim completed.
   timer-switch-exhaustive
       Any switch over TimerCategory must list all five enumerators
       (Pair, Neigh, Comm, Other, Dump) and carry no default:, so adding
@@ -73,7 +74,7 @@ RULES = {
     "naked-delete": "raw `delete` (deleted special members are exempt)",
     "atomic-memory-order": "std::atomic operation without an explicit memory order",
     "neighbor-span-index": "unchecked operator[] on a NeighborList neighbor span",
-    "obs-span-early-return": "return inside a bare EMBER_OBS_SPAN instrumentation block",
+    "obs-span-early-return": "return inside a bare ScopedSpan instrumentation block",
     "timer-switch-exhaustive": "switch over TimerCategory missing enumerators or using default:",
     "blocking-io-in-steploop": "direct file output in step-loop code: submit an io::Writer request",
     "comm-backend-include": "comm backend header included outside src/comm/",
@@ -303,7 +304,7 @@ def check_neighbor_span_index(path, raw_lines, code, findings):
             pos += 1
 
 
-OBS_SPAN_RE = re.compile(r"\bEMBER_OBS_SPAN(?:_ARG)?\s*\(")
+OBS_SPAN_RE = re.compile(r"\b(?:const\s+)?(?:obs::)?ScopedSpan\s+\w+\s*\(")
 
 
 def check_obs_span_early_return(path, raw_lines, code, findings):
@@ -324,7 +325,7 @@ def check_obs_span_early_return(path, raw_lines, code, findings):
         if open_pos < 0:
             continue
         # Instrumentation block: the scope opener is a bare `{` line and
-        # the span macro is its first statement.
+        # the span declaration is its first statement.
         open_line = line_of(code, open_pos)
         if code_lines[open_line - 1].strip() != "{":
             continue
@@ -339,7 +340,7 @@ def check_obs_span_early_return(path, raw_lines, code, findings):
                            findings, path):
                 findings.append(Finding(
                     path, ln, "obs-span-early-return",
-                    f"return inside the EMBER_OBS_SPAN block opened at line "
+                    f"return inside the ScopedSpan block opened at line "
                     f"{span_line}: hoist the early return out of the "
                     "instrumentation scope"))
 

@@ -7,7 +7,8 @@
 // TimerSet accumulates into a fixed array indexed by TimerCategory, so
 // the per-step hot path does no string hashing, no map lookups and no
 // allocation, and iteration order is the declaration order below, always.
-// (Free-form string keys were PR-3's design; PR 4 closed the set.)
+// Buckets are filled by obs::ScopedSpan's seconds sink: one clock pair
+// per stage feeds both the bucket and the stage's trace span.
 
 #include <algorithm>
 #include <array>
@@ -57,8 +58,9 @@ inline constexpr std::array<TimerCategory, kNumTimerCategories>
 // Accumulates elapsed seconds into the fixed category buckets.
 class TimerSet {
  public:
-  void add(TimerCategory category, double seconds) {
-    totals_[index(category)] += seconds;
+  // The accumulator a stage's ScopedSpan adds its duration to.
+  [[nodiscard]] double& bucket(TimerCategory category) {
+    return totals_[index(category)];
   }
 
   [[nodiscard]] double total(TimerCategory category) const {
@@ -76,14 +78,14 @@ class TimerSet {
     return all > 0.0 ? total(category) / all : 0.0;
   }
 
-  // Per-thread load-balance bookkeeping: drivers feed the pool's busy
-  // seconds of each parallel sweep here, and the Fig.-4-style tables
-  // report max/avg as the imbalance ratio (1.0 = perfectly balanced).
+  // Per-thread load-balance bookkeeping: drivers feed each worker's busy
+  // seconds over all sweeps of one stage here, and the Fig.-4-style
+  // tables report max/avg as the imbalance ratio (1.0 = balanced).
   struct ThreadStats {
-    double min_total = 0.0;  // sum over sweeps of the fastest worker
-    double max_total = 0.0;  // sum over sweeps of the slowest worker
-    double sum_total = 0.0;  // sum over sweeps and workers
-    long sweeps = 0;
+    double min_total = 0.0;  // sum over stages of the fastest worker
+    double max_total = 0.0;  // sum over stages of the slowest worker
+    double sum_total = 0.0;  // sum over stages and workers
+    long stages = 0;
     int nthreads = 0;
   };
 
@@ -94,12 +96,12 @@ class TimerSet {
     st.min_total += *std::min_element(busy_seconds.begin(), busy_seconds.end());
     st.max_total += *std::max_element(busy_seconds.begin(), busy_seconds.end());
     for (const double s : busy_seconds) st.sum_total += s;
-    st.sweeps += 1;
+    st.stages += 1;
     st.nthreads = static_cast<int>(busy_seconds.size());
   }
 
   // max/avg busy time across workers; 1.0 means perfect balance, 0.0
-  // means no threaded sweeps were recorded for the category.
+  // means no threaded stages were recorded for the category.
   [[nodiscard]] double imbalance(TimerCategory category) const {
     const ThreadStats& st = thread_stats_[index(category)];
     if (st.nthreads == 0) return 0.0;
@@ -123,22 +125,6 @@ class TimerSet {
 
   std::array<double, kNumTimerCategories> totals_{};
   std::array<ThreadStats, kNumTimerCategories> thread_stats_{};
-};
-
-// RAII helper: adds the scope's elapsed time to a TimerSet bucket.
-class ScopedTimer {
- public:
-  ScopedTimer(TimerSet& set, TimerCategory category)
-      : set_(set), category_(category) {}
-  ~ScopedTimer() { set_.add(category_, timer_.seconds()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerSet& set_;
-  TimerCategory category_;
-  WallTimer timer_;
 };
 
 }  // namespace ember

@@ -53,7 +53,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 class Executor {
  public:
   void execute(const Request& req) {
-    EMBER_OBS_SPAN("io.write", "io");
+    const obs::ScopedSpan span("io.write", "io");
     std::size_t bytes = 0;
     switch (req.kind) {
       case Request::Kind::Trajectory:

@@ -101,15 +101,25 @@ StepLoop::StepLoop(System sys, std::shared_ptr<PairPotential> pot,
       nl_(pot_->cutoff(), skin),
       rng_(rng) {}
 
+double* StepLoop::bucket(TimerCategory category) {
+  const bool idle = category == TimerCategory::Comm && !stages_->communicates();
+  return idle ? nullptr : &timers_.bucket(category);
+}
+
+void StepLoop::reset_thread_times() {
+  if (!ctx_.serial()) ctx_.pool().reset_thread_seconds();
+}
+
 void StepLoop::add_thread_times(TimerCategory category) {
   if (!ctx_.serial()) {
-    timers_.add_thread_times(category, ctx_.pool().last_thread_seconds());
+    timers_.add_thread_times(category, ctx_.pool().thread_seconds());
   }
 }
 
 void StepLoop::rebuild_neighbors(bool initial) {
-  EMBER_OBS_SPAN("neigh.rebuild", "neigh");
-  ScopedTimer t(timers_, TimerCategory::Neigh);
+  const obs::ScopedSpan span("neigh.rebuild", "neigh",
+                             bucket(TimerCategory::Neigh));
+  reset_thread_times();
   stages_->build_neighbors(*this, initial);
   add_thread_times(TimerCategory::Neigh);
   LoopMetrics::get().rebuilds.inc();
@@ -117,8 +127,8 @@ void StepLoop::rebuild_neighbors(bool initial) {
 }
 
 void StepLoop::compute_forces() {
-  EMBER_OBS_SPAN("force", "pair");
-  ScopedTimer t(timers_, TimerCategory::Pair);
+  const obs::ScopedSpan span("force", "pair", bucket(TimerCategory::Pair));
+  reset_thread_times();
   sys_.zero_forces();
   ev_ = pot_->compute(ctx_, sys_, nl_);
   add_thread_times(TimerCategory::Pair);
@@ -131,14 +141,13 @@ void StepLoop::compute_forces() {
 // attribute to output, not to Other.
 void StepLoop::scheduled_output() {
   if (io_plan_.dumps() && step_ % io_plan_.dump_every == 0) {
-    EMBER_OBS_SPAN("dump", "io");
-    ScopedTimer t(timers_, TimerCategory::Dump);
+    const obs::ScopedSpan span("dump", "io", bucket(TimerCategory::Dump));
     stages_->dump(*this, io_plan_, !dump_started_ && !io_plan_.append);
     dump_started_ = true;
   }
   if (io_plan_.checkpoints() && step_ % io_plan_.checkpoint_every == 0) {
-    EMBER_OBS_SPAN("checkpoint", "io");
-    ScopedTimer t(timers_, TimerCategory::Dump);
+    const obs::ScopedSpan span("checkpoint", "io",
+                               bucket(TimerCategory::Dump));
     // No drain: the writer tmp+renames checkpoints, so the file on disk
     // is always complete even while the queue is in flight.
     stages_->write_checkpoint(*this, io_plan_.checkpoint_path);
@@ -156,60 +165,67 @@ void StepLoop::observe_drift() {
 }
 
 void StepLoop::setup() {
-  EMBER_OBS_SPAN("setup", "other");
+  const obs::ScopedSpan span("setup", "other");
   {
-    EMBER_OBS_SPAN("exchange", "comm");
-    timed_comm([&] { stages_->exchange(*this, /*initial=*/true); });
+    const obs::ScopedSpan comm("exchange", "comm", bucket(TimerCategory::Comm));
+    stages_->exchange(*this, /*initial=*/true);
   }
   EMBER_CHECK(stages_->verify_exchange(*this, /*initial=*/true));
   rebuild_neighbors(/*initial=*/true);
   compute_forces();
   {
-    EMBER_OBS_SPAN("reverse", "comm");
-    timed_comm([&] { stages_->reverse_forces(*this); });
+    const obs::ScopedSpan comm("reverse", "comm", bucket(TimerCategory::Comm));
+    stages_->reverse_forces(*this);
   }
   ready_ = true;
 }
 
+void StepLoop::step_once() {
+  {
+    const obs::ScopedSpan span("integrate.initial", "other",
+                               bucket(TimerCategory::Other));
+    integrator_.initial_integrate(sys_, &ctx_);
+  }
+  EMBER_CHECK(check::check_finite(sys_.x, sys_.nlocal(), "position",
+                                  "integrate", step_));
+  if (stages_->check_rebuild(*this)) {
+    {
+      const obs::ScopedSpan span("exchange", "comm",
+                                 bucket(TimerCategory::Comm));
+      stages_->exchange(*this, /*initial=*/false);
+    }
+    EMBER_CHECK(stages_->verify_exchange(*this, /*initial=*/false));
+    rebuild_neighbors(/*initial=*/false);
+  } else {
+    const obs::ScopedSpan span("forward", "comm", bucket(TimerCategory::Comm));
+    stages_->forward_positions(*this);
+  }
+  compute_forces();
+  {
+    const obs::ScopedSpan span("reverse", "comm", bucket(TimerCategory::Comm));
+    stages_->reverse_forces(*this);
+  }
+  {
+    const obs::ScopedSpan span("integrate.final", "other",
+                               bucket(TimerCategory::Other));
+    integrator_.final_integrate(sys_, ev_, rng_, &ctx_);
+  }
+  ++step_;
+  EMBER_CHECK(observe_drift());
+  scheduled_output();
+}
+
 void StepLoop::run(long nsteps, const std::function<void()>& after_step) {
   if (!ready_) setup();
+  LoopMetrics& m = LoopMetrics::get();
   for (long s = 0; s < nsteps; ++s) {
-    EMBER_OBS_SPAN_ARG("step", "step", "step", step_);
-    WallTimer step_timer;
+    double seconds = 0.0;
     {
-      EMBER_OBS_SPAN("integrate.initial", "other");
-      ScopedTimer t(timers_, TimerCategory::Other);
-      integrator_.initial_integrate(sys_, &ctx_);
+      const obs::ScopedSpan span("step", "step", "step", step_, &seconds);
+      step_once();
     }
-    EMBER_CHECK(check::check_finite(sys_.x, sys_.nlocal(), "position",
-                                    "integrate", step_));
-    if (stages_->check_rebuild(*this)) {
-      {
-        EMBER_OBS_SPAN("exchange", "comm");
-        timed_comm([&] { stages_->exchange(*this, /*initial=*/false); });
-      }
-      EMBER_CHECK(stages_->verify_exchange(*this, /*initial=*/false));
-      rebuild_neighbors(/*initial=*/false);
-    } else {
-      EMBER_OBS_SPAN("forward", "comm");
-      timed_comm([&] { stages_->forward_positions(*this); });
-    }
-    compute_forces();
-    {
-      EMBER_OBS_SPAN("reverse", "comm");
-      timed_comm([&] { stages_->reverse_forces(*this); });
-    }
-    {
-      EMBER_OBS_SPAN("integrate.final", "other");
-      ScopedTimer t(timers_, TimerCategory::Other);
-      integrator_.final_integrate(sys_, ev_, rng_, &ctx_);
-    }
-    ++step_;
-    EMBER_CHECK(observe_drift());
-    scheduled_output();
-    LoopMetrics& m = LoopMetrics::get();
     m.steps.inc();
-    m.step_seconds.record(step_timer.seconds());
+    m.step_seconds.record(seconds);
     if (after_step) after_step();
   }
 }

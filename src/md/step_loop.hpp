@@ -20,6 +20,8 @@
 // implements StepStages and delegates here, so the sequence, the Fig. 4
 // timer taxonomy (Pair / Neigh / Comm / Other with per-thread
 // attribution), and the checkpoint interface exist in exactly one place.
+// Each bracketed stage is timed by one obs::ScopedSpan that feeds its
+// TimerSet bucket; the step callback runs after the `step` span closes.
 // The stage defaults ARE the serial single-box driver; distributed and
 // batched drivers override only what differs.
 
@@ -210,19 +212,17 @@ class StepLoop {
   void compute_forces();
   void rebuild_neighbors(bool initial);
   void scheduled_output();
+  void step_once();  // the body of the `step` span, output included
+  // A stage span's seconds sink: the category's bucket, or null for Comm
+  // when the driver does not communicate (its bucket stays exactly 0).
+  [[nodiscard]] double* bucket(TimerCategory category);
+  // Per-stage thread attribution: zero the pool's busy seconds at stage
+  // entry, hand their sums over every sweep to the category at exit.
+  void reset_thread_times();
   void add_thread_times(TimerCategory category);
   // Checked build only: arm the tripwire on the first completed step and
   // compare every later step's total energy against it.
   void observe_drift();
-  template <typename Fn>
-  void timed_comm(Fn&& fn) {
-    if (stages_->communicates()) {
-      ScopedTimer t(timers_, TimerCategory::Comm);
-      fn();
-    } else {
-      fn();
-    }
-  }
 
   StepStages* stages_;
   System sys_;

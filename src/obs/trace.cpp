@@ -137,27 +137,33 @@ void TraceSession::write_chrome_trace(const std::string& path) const {
 
 // ---- ScopedSpan -----------------------------------------------------------
 
-ScopedSpan::ScopedSpan(const char* name, const char* cat) {
+ScopedSpan::ScopedSpan(const char* name, const char* cat, double* seconds)
+    : seconds_(seconds) {
   TraceSession& s = TraceSession::global();
-  if (!s.enabled()) return;
-  buf_ = &s.buffer();
-  ev_.name = name;
-  ev_.cat = cat;
-  ev_.tid = buf_->tid;
-  ev_.depth = buf_->depth++;
+  if (s.enabled()) {
+    buf_ = &s.buffer();
+    ev_.name = name;
+    ev_.cat = cat;
+    ev_.tid = buf_->tid;
+    ev_.depth = buf_->depth++;
+  } else if (seconds == nullptr) {
+    return;
+  }
   ev_.start_ns = now_ns() - s.t0_ns_;
 }
 
 ScopedSpan::ScopedSpan(const char* name, const char* cat, const char* arg_key,
-                       std::int64_t arg_val)
-    : ScopedSpan(name, cat) {
+                       std::int64_t arg_val, double* seconds)
+    : ScopedSpan(name, cat, seconds) {
   ev_.arg_key = arg_key;
   ev_.arg_val = arg_val;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (buf_ == nullptr) return;
+  if (buf_ == nullptr && seconds_ == nullptr) return;
   ev_.dur_ns = (now_ns() - TraceSession::global().t0_ns_) - ev_.start_ns;
+  if (seconds_ != nullptr) *seconds_ += static_cast<double>(ev_.dur_ns) * 1e-9;
+  if (buf_ == nullptr) return;
   buf_->depth--;
   LockGuard lock(buf_->mutex);
   buf_->events.push_back(ev_);

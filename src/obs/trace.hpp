@@ -7,12 +7,14 @@
 // not just end-of-run totals. This file provides:
 //
 //   * TraceSession — one process-wide session. start()/stop() flips a
-//     single relaxed atomic; when stopped, a ScopedSpan constructor is
-//     one load and one branch (and EMBER_OBS=OFF compiles the macros away
-//     entirely), so a disabled build pays nothing on the hot path.
-//   * ScopedSpan — RAII span. Records name, category, thread, nesting
-//     depth, start and duration into a per-thread buffer (own mutex per
-//     buffer: appends are uncontended; exports are safe concurrently).
+//     single relaxed atomic; when stopped, a ScopedSpan without a sink
+//     is one load and one branch on the hot path.
+//   * ScopedSpan — RAII span and the one stage timer. Records name,
+//     category, thread, nesting depth, start and duration into a
+//     per-thread buffer (own mutex per buffer: appends are uncontended;
+//     exports are safe concurrently). Its optional `seconds` sink (a
+//     TimerSet bucket, a worker's busy slot) gets the same duration,
+//     traced or not, so a trace and a Fig. 4 breakdown cannot disagree.
 //   * Chrome trace-event JSON export ("traceEvents" with "ph":"X"
 //     complete events, microsecond timestamps) — loadable directly in
 //     Perfetto / chrome://tracing. Thread-name metadata events label the
@@ -91,9 +93,11 @@ class TraceSession {
 
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, const char* cat = "other");
+  // `seconds`, when set, has the scope's duration added on exit.
+  explicit ScopedSpan(const char* name, const char* cat = "other",
+                      double* seconds = nullptr);
   ScopedSpan(const char* name, const char* cat, const char* arg_key,
-             std::int64_t arg_val);
+             std::int64_t arg_val, double* seconds = nullptr);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -101,6 +105,7 @@ class ScopedSpan {
 
  private:
   TraceSession::ThreadBuffer* buf_ = nullptr;  // null when session disabled
+  double* seconds_ = nullptr;
   SpanEvent ev_;
 };
 
@@ -111,19 +116,3 @@ class ScopedSpan {
 void set_kernel_timing(bool on);
 
 }  // namespace ember::obs
-
-// Macro layer: spans compile away entirely under -DEMBER_OBS_DISABLED
-// (CMake option EMBER_OBS=OFF), which is the belt-and-braces half of the
-// "no measurable grind-time regression when off" contract.
-#if defined(EMBER_OBS_DISABLED)
-#define EMBER_OBS_SPAN(name, cat) ((void)0)
-#define EMBER_OBS_SPAN_ARG(name, cat, key, val) ((void)0)
-#else
-#define EMBER_OBS_CONCAT2(a, b) a##b
-#define EMBER_OBS_CONCAT(a, b) EMBER_OBS_CONCAT2(a, b)
-#define EMBER_OBS_SPAN(name, cat) \
-  ember::obs::ScopedSpan EMBER_OBS_CONCAT(ember_span_, __LINE__)(name, cat)
-#define EMBER_OBS_SPAN_ARG(name, cat, key, val)                         \
-  ember::obs::ScopedSpan EMBER_OBS_CONCAT(ember_span_, __LINE__)(name, cat, \
-                                                                 key, val)
-#endif

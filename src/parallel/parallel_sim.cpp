@@ -158,18 +158,18 @@ void ParallelSimulation::exchange_ghosts() {
 }
 
 bool ParallelSimulation::check_rebuild(md::StepLoop& loop) {
-  EMBER_OBS_SPAN("comm.rebuild_check", "comm");
-  ScopedTimer t(loop.timers(), TimerCategory::Comm);
+  const obs::ScopedSpan span("comm.rebuild_check", "comm",
+                            &loop.timers().bucket(TimerCategory::Comm));
   return comm_.allreduce_or(
       loop.neighbor_list().needs_rebuild(loop.system()));
 }
 
 void ParallelSimulation::exchange(md::StepLoop&, bool /*initial*/) {
   {
-    EMBER_OBS_SPAN("comm.migrate", "comm");
+    const obs::ScopedSpan span("comm.migrate", "comm");
     migrate();
   }
-  EMBER_OBS_SPAN("comm.ghosts", "comm");
+  const obs::ScopedSpan span("comm.ghosts", "comm");
   exchange_ghosts();
 }
 
@@ -181,7 +181,7 @@ void ParallelSimulation::build_neighbors(md::StepLoop& loop,
 }
 
 void ParallelSimulation::forward_positions(md::StepLoop& loop) {
-  EMBER_OBS_SPAN("comm.forward", "comm");
+  const obs::ScopedSpan span("comm.forward", "comm");
   md::System& sys = loop.system();
   std::vector<Vec3> packed;
   for (int leg_idx = 0; leg_idx < 6; ++leg_idx) {
@@ -202,7 +202,7 @@ void ParallelSimulation::forward_positions(md::StepLoop& loop) {
 }
 
 void ParallelSimulation::reverse_forces(md::StepLoop& loop) {
-  EMBER_OBS_SPAN("comm.reverse", "comm");
+  const obs::ScopedSpan span("comm.reverse", "comm");
   md::System& sys = loop.system();
   std::vector<Vec3> packed;
   for (int leg_idx = 5; leg_idx >= 0; --leg_idx) {

@@ -25,8 +25,9 @@
 // holds mutex_ coming out of the start wait, then runs lock-free on the
 // copy. busy_seconds_ needs no lock: slot tid is written only by worker
 // tid during a sweep, and the done_cv_ handshake orders those writes
-// before any caller's read of last_thread_seconds().
+// before any caller's read of thread_seconds().
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -81,12 +82,14 @@ class ThreadPool {
     parallel_for(begin, end, /*grain=*/0, fn);
   }
 
-  // Busy seconds per worker for the last parallel_for (imbalance stats).
+  // Busy seconds per worker summed over every threaded sweep since the
+  // last reset (per-stage imbalance stats; a serial pool records none).
   // Valid only between sweeps: parallel_for's return is the
   // happens-before edge that publishes every slot.
-  [[nodiscard]] std::span<const double> last_thread_seconds() const {
+  [[nodiscard]] std::span<const double> thread_seconds() const {
     return busy_seconds_;
   }
+  void reset_thread_seconds() { std::ranges::fill(busy_seconds_, 0.0); }
 
   // Deterministic pairwise tree reduction over per-worker slots:
   //   stride 1: slot[0] += slot[1], slot[2] += slot[3], ...
@@ -123,8 +126,8 @@ class ThreadPool {
 
   int nthreads_ = 1;
   std::vector<std::thread> workers_;
-  // Slot tid is owned by worker tid during a sweep; the done handshake
-  // (remaining_ under mutex_) publishes it to the caller.
+  // Slot tid is owned by worker tid during a sweep (its pool.sweep span's
+  // sink); the done handshake (remaining_ under mutex_) publishes it.
   std::vector<double> busy_seconds_;
 
   Mutex mutex_;

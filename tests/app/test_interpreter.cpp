@@ -384,9 +384,7 @@ TEST(Interpreter, TraceAndMetricsCommandsWriteValidJson) {
   ASSERT_FALSE(trace.empty());
   EXPECT_TRUE(obs::json_valid(trace));
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-#if !defined(EMBER_OBS_DISABLED)
   EXPECT_NE(trace.find("\"step\""), std::string::npos);
-#endif
 
   const std::string metrics = slurp(metrics_path);
   ASSERT_FALSE(metrics.empty());

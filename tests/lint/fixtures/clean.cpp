@@ -56,11 +56,11 @@ int iterate_neighbors(const List& nl) {
 const char* kMessage = "do not new or delete here";
 
 // Span block without an early return is fine.
-#define EMBER_OBS_SPAN(name, cat) int ember_span_dummy = 0
+struct ScopedSpan { ScopedSpan(const char*, const char*) {} };
 int span_block_ok() {
   int result = 0;
   {
-    EMBER_OBS_SPAN("stage", "other");
+    const ScopedSpan span("stage", "other");
     result = 42;
   }
   return result;

@@ -41,10 +41,10 @@ int index_neighbor_span(const List& nl) {
 }
 
 // --- obs-span-early-return (line 48) ---------------------------------------
-#define EMBER_OBS_SPAN(name, cat) int ember_span_dummy = 0
+struct ScopedSpan { ScopedSpan(const char*, const char*) {} };
 int early_return_in_span_block(bool flag) {
   {
-    EMBER_OBS_SPAN("stage", "other");
+    const ScopedSpan span("stage", "other");
     if (flag) return 1;
   }
   return 0;

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "comm/transport.hpp"
@@ -18,6 +21,7 @@
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
 #include "md/step_loop.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_sim.hpp"
 #include "ref/pair_lj.hpp"
@@ -135,7 +139,6 @@ TEST(StepLoopTimers, Fig4LabelsMapTheCanonicalCategories) {
 
 // ---- span instrumentation of the pipeline ---------------------------------
 
-#if !defined(EMBER_OBS_DISABLED)
 TEST(StepLoopTrace, EveryStageEmitsExactlyOneSpanPerStep) {
   Simulation sim(make_argon(3, 40.0, 77), lj(), 0.002, 0.4, 5,
                  ExecutionPolicy{2});
@@ -184,7 +187,128 @@ TEST(StepLoopTrace, EveryStageEmitsExactlyOneSpanPerStep) {
   EXPECT_GE(pool_tids, 2);
   session.clear();
 }
-#endif  // !EMBER_OBS_DISABLED
+
+// ---- one instrument per stage: buckets, spans and histogram agree ---------
+
+// Seconds of every recorded span named in `names` (on session thread `tid`,
+// or any thread when tid < 0), summed in recording order.
+double span_seconds(const std::vector<obs::SpanEvent>& events,
+                    std::initializer_list<std::string_view> names,
+                    int tid = -1) {
+  double sum = 0.0;
+  for (const auto& e : events) {
+    if (tid >= 0 && e.tid != tid) continue;
+    for (const std::string_view n : names) {
+      if (n == e.name) sum += static_cast<double>(e.dur_ns) * 1e-9;
+    }
+  }
+  return sum;
+}
+
+void expect_same_seconds(double bucket, double spans, const char* what) {
+  EXPECT_GT(spans, 0.0) << what;
+  EXPECT_NEAR(bucket, spans, 1e-12 * spans) << what;
+}
+
+TEST(ObsTraceAgreement, EveryBucketEqualsItsStageSpans) {
+  const std::string traj = ::testing::TempDir() + "ember_agree.xyz";
+  const std::string ckpt = ::testing::TempDir() + "ember_agree.ckpt";
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  // Hot argon and a thin skin: the run reneighbors several times.
+  Simulation sim(make_argon(3, 300.0, 13), lj(), 0.002, 0.1, 5,
+                 ExecutionPolicy{2});
+  IoPlan plan;
+  plan.dump_every = 5;
+  plan.dump_path = traj;
+  plan.checkpoint_every = 10;
+  plan.checkpoint_path = ckpt;
+  sim.set_io_plan(plan);
+  sim.run(30);
+  session.stop();
+  const auto events = session.snapshot();
+  session.clear();
+  std::remove(traj.c_str());
+  std::remove(ckpt.c_str());
+
+  ASSERT_GE(std::count_if(events.begin(), events.end(),
+                          [](const obs::SpanEvent& e) {
+                            return std::string_view(e.name) == "neigh.rebuild";
+                          }),
+            2);  // setup's build plus at least one in-run rebuild
+  const TimerSet& t = sim.timers();
+  expect_same_seconds(t.total(TimerCategory::Pair),
+                      span_seconds(events, {"force"}), "Pair");
+  expect_same_seconds(t.total(TimerCategory::Neigh),
+                      span_seconds(events, {"neigh.rebuild"}), "Neigh");
+  expect_same_seconds(
+      t.total(TimerCategory::Other),
+      span_seconds(events, {"integrate.initial", "integrate.final"}), "Other");
+  expect_same_seconds(t.total(TimerCategory::Dump),
+                      span_seconds(events, {"dump", "checkpoint"}), "Dump");
+  // The serial driver's comm stages still emit spans, but never open the
+  // Comm bucket.
+  EXPECT_GT(span_seconds(events, {"forward", "reverse"}), 0.0);
+  EXPECT_EQ(t.total(TimerCategory::Comm), 0.0);
+}
+
+TEST(ObsTraceAgreement, CommBucketEqualsEachRanksCommSpans) {
+  const System init = make_argon(3, 300.0, 21);
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  std::vector<double> comm_bucket(2, 0.0);
+  std::vector<int> rank_tid(2, -1);
+  comm::test::make(comm::TransportKind::Thread, 2)
+      ->run([&](comm::Transport& c) {
+    {
+      // Tag this rank's trace thread so its spans can be told apart.
+      const obs::ScopedSpan tag("rank.tag", "test", "rank", c.rank());
+    }
+    parallel::ParallelSimulation psim(c, init, lj(), 0.002, 0.1, 7);
+    psim.run(30);
+    comm_bucket[static_cast<std::size_t>(c.rank())] =
+        psim.timers().total(TimerCategory::Comm);
+  });
+  session.stop();
+  const auto events = session.snapshot();
+  session.clear();
+
+  for (const auto& e : events) {
+    if (std::string_view(e.name) == "rank.tag") {
+      rank_tid[static_cast<std::size_t>(e.arg_val)] = e.tid;
+    }
+  }
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_GE(rank_tid[r], 0) << "rank " << r;
+    expect_same_seconds(
+        comm_bucket[r],
+        span_seconds(events,
+                     {"exchange", "forward", "reverse", "comm.rebuild_check"},
+                     rank_tid[r]),
+        "Comm");
+  }
+}
+
+TEST(ObsTraceAgreement, StepHistogramSumsTheStepSpans) {
+  Simulation sim(make_argon(2, 40.0, 3), lj(), 0.002, 0.4, 5);
+  sim.run(1);  // registers md.step.seconds
+  obs::Histogram& steps =
+      obs::Registry::global().histogram("md.step.seconds", {});
+  steps.reset();
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  sim.run(20);
+  session.stop();
+  const auto events = session.snapshot();
+  session.clear();
+
+  const obs::Histogram::Snapshot h = steps.snapshot();
+  EXPECT_EQ(h.count, 20u);
+  expect_same_seconds(h.sum, span_seconds(events, {"step"}), "md.step");
+}
 
 // ---- checkpoint round-trips through the stage hook ------------------------
 

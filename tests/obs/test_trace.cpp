@@ -143,6 +143,24 @@ TEST_F(ObsTrace, ClearDropsEventsButKeepsRecordingAbility) {
   EXPECT_EQ(session.count("after"), 1);
 }
 
+TEST_F(ObsTrace, SecondsSinkGetsTheSpanDurationTracedOrNot) {
+  auto& session = TraceSession::global();
+  double seconds = 0.0;
+  { ScopedSpan s("untraced", "test", &seconds); }
+  EXPECT_GT(seconds, 0.0);  // the sink runs with tracing off
+  EXPECT_TRUE(session.snapshot().empty());
+
+  session.start();
+  double traced = 0.0;
+  { ScopedSpan s("traced", "test", "step", 3, &traced); }
+  session.stop();
+  const auto events = session.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].arg_val, 3);
+  // Same clock pair: the sink holds exactly the recorded duration.
+  EXPECT_EQ(traced, static_cast<double>(events[0].dur_ns) * 1e-9);
+}
+
 TEST_F(ObsTrace, KernelTimingFlagRoundTrips) {
   EXPECT_FALSE(kernel_timing_enabled());
   set_kernel_timing(true);

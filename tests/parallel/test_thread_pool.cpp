@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +19,8 @@
 #include "md/lattice.hpp"
 #include "md/neighbor.hpp"
 #include "md/potential.hpp"
+#include "md/simulation.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "ref/pair_eam.hpp"
 #include "ref/pair_lj.hpp"
@@ -88,6 +93,89 @@ TEST(ThreadPool, ReduceTreeIsFixedOrder) {
   expect[0] += expect[2];
   expect[0] += expect[4];
   EXPECT_EQ(tree, expect[0]);
+}
+
+// --- busy seconds and imbalance --------------------------------------------
+
+void spin_for(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+TEST(ThreadPool, SweepSpansSumToBusySeconds) {
+  // The pool.sweep span is the busy-seconds instrument: per worker, its
+  // trace durations and thread_seconds() come from the same clock reads.
+  constexpr int kThreads = 3;
+  parallel::ThreadPool pool(kThreads);
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  pool.reset_thread_seconds();
+  for (int rep = 0; rep < 5; ++rep) {
+    pool.parallel_for(0, 60, 7, [](int tid, int, int) {
+      // Tags the session thread with its pool tid.
+      const obs::ScopedSpan tag("worker", "test", "tid", tid);
+      spin_for(std::chrono::microseconds(50));
+    });
+  }
+  session.stop();
+  const auto events = session.snapshot();
+  session.clear();
+
+  std::map<int, int> pool_tid;      // session tid -> pool tid
+  std::map<int, double> sweep_sum;  // session tid -> pool.sweep seconds
+  for (const auto& e : events) {
+    const std::string_view name = e.name;
+    if (name == "worker") pool_tid[e.tid] = static_cast<int>(e.arg_val);
+    if (name == "pool.sweep") {
+      sweep_sum[e.tid] += static_cast<double>(e.dur_ns) * 1e-9;
+    }
+  }
+  ASSERT_EQ(sweep_sum.size(), static_cast<std::size_t>(kThreads));
+  const auto busy = pool.thread_seconds();
+  for (const auto& [tid, spans] : sweep_sum) {
+    ASSERT_EQ(pool_tid.count(tid), 1u);
+    EXPECT_GT(spans, 0.0);
+    EXPECT_NEAR(busy[static_cast<std::size_t>(pool_tid[tid])], spans,
+                1e-12 * spans)
+        << "worker " << pool_tid[tid];
+  }
+  pool.reset_thread_seconds();
+  for (const double b : pool.thread_seconds()) EXPECT_EQ(b, 0.0);
+}
+
+// The SNAP/Tersoff Pair-stage shape: a force sweep, then a merge sweep.
+// Here the force sweep keeps worker 0 busy for 20 ms and worker 1 idle,
+// and the merge is balanced.
+class SkewedForceSweep : public md::PairPotential {
+ public:
+  [[nodiscard]] double cutoff() const override { return 6.5; }
+  [[nodiscard]] const char* name() const override { return "skewed"; }
+  using md::PairPotential::compute;
+  md::EnergyVirial compute(const md::ComputeContext& ctx, md::System&,
+                           const md::NeighborList&) override {
+    ctx.pool().parallel_for(0, 2, 1, [](int tid, int, int) {
+      if (tid == 0) spin_for(std::chrono::milliseconds(20));
+    });
+    ctx.pool().parallel_blocks(0, 2, [](int, int, int) {
+      spin_for(std::chrono::microseconds(200));
+    });
+    return {};
+  }
+};
+
+TEST(ThreadPool, PairImbalanceCoversEveryForceSweep) {
+  md::LatticeSpec spec;
+  spec.kind = md::LatticeKind::Fcc;
+  spec.a = 5.26;
+  spec.nx = spec.ny = spec.nz = 2;
+  md::Simulation sim(md::build_lattice(spec, 39.948),
+                     std::make_shared<SkewedForceSweep>(), 0.002, 0.4, 5,
+                     ExecutionPolicy{2});
+  sim.run(3);
+  // max/avg over the whole stage is ~2; the merge sweep alone is ~1.
+  EXPECT_GT(sim.timers().imbalance(TimerCategory::Pair), 1.8);
 }
 
 // --- force-kernel parity -------------------------------------------------
