@@ -1,19 +1,19 @@
 #include "transport.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "comm/communicator.hpp"
 #include "comm/socket_transport.hpp"
-#include "common/timer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace ember::comm {
 
 namespace {
-// Internal tags for the collectives built on point-to-point (user code
-// should use non-negative tags).
-constexpr int kTagGather = -101;
-constexpr int kTagBcast = -102;
+// Internal tags for the collectives (user code uses non-negative tags).
+constexpr int kTagReduce = -101;
+constexpr int kTagReduceResult = -102;
 
 // Process-global traffic counters. Registered once; per-call cost is one
 // sharded relaxed fetch_add each. Both backends feed the same names, so
@@ -72,76 +72,52 @@ void Transport::send_bytes(int dest, int tag, const void* data,
 }
 
 std::vector<std::byte> Transport::recv_bytes(int source, int tag) {
-  WallTimer timer;
-  auto out = do_recv_bytes(source, tag);
-  comm_seconds_ += timer.seconds();
-  return out;
+  const obs::ScopedSpan span("comm.wait", "comm", &comm_seconds_);
+  return do_recv_bytes(source, tag);
 }
 
 std::pair<int, std::vector<std::byte>> Transport::recv_bytes_any(int tag) {
-  WallTimer timer;
-  auto out = do_recv_bytes_any(tag);
-  comm_seconds_ += timer.seconds();
-  return out;
+  const obs::ScopedSpan span("comm.wait", "comm", &comm_seconds_);
+  return do_recv_bytes_any(tag);
 }
 
-void Transport::barrier() {
-  WallTimer timer;
-  do_barrier();
-  comm_seconds_ += timer.seconds();
+// The one collective: every rank ships its value to rank 0 over the raw
+// (uncounted) primitives, rank 0 folds them in rank order and ships the
+// result back. The fixed fold order makes a floating-point reduction
+// bitwise identical on every backend, whatever order the ranks arrive in.
+template <typename T, typename Op>
+T Transport::reduce_all(T value, Op op) {
+  if (size() == 1) return value;
+  const obs::ScopedSpan span("comm.wait", "comm", &comm_seconds_);
+  if (rank() != 0) {
+    do_send_bytes(0, kTagReduce, &value, sizeof(T));
+    return from_bytes<T>(do_recv_bytes(0, kTagReduceResult));
+  }
+  for (int r = 1; r < size(); ++r) {
+    value = op(value, from_bytes<T>(do_recv_bytes(r, kTagReduce)));
+  }
+  for (int r = 1; r < size(); ++r) {
+    do_send_bytes(r, kTagReduceResult, &value, sizeof(T));
+  }
+  return value;
 }
+
+void Transport::barrier() { (void)allreduce_or(false); }
 
 double Transport::allreduce_sum(double value) {
-  WallTimer timer;
-  const double out = do_allreduce_sum(value);
-  comm_seconds_ += timer.seconds();
-  return out;
+  return reduce_all(value, [](double a, double b) { return a + b; });
 }
 
 long Transport::allreduce_sum(long value) {
-  WallTimer timer;
-  const long out = do_allreduce_sum(value);
-  comm_seconds_ += timer.seconds();
-  return out;
+  return reduce_all(value, [](long a, long b) { return a + b; });
 }
 
 double Transport::allreduce_max(double value) {
-  WallTimer timer;
-  const double out = do_allreduce_max(value);
-  comm_seconds_ += timer.seconds();
-  return out;
+  return reduce_all(value, [](double a, double b) { return std::max(a, b); });
 }
 
 bool Transport::allreduce_or(bool value) {
-  WallTimer timer;
-  const bool out = do_allreduce_or(value);
-  comm_seconds_ += timer.seconds();
-  return out;
-}
-
-std::vector<double> Transport::gather(double value, int root) {
-  if (rank() == root) {
-    std::vector<double> out(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(root)] = value;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      out[static_cast<std::size_t>(r)] = recv_value<double>(r, kTagGather);
-    }
-    return out;
-  }
-  send_value(root, kTagGather, value);
-  return {};
-}
-
-double Transport::broadcast(double value, int root) {
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      send_value(r, kTagBcast, value);
-    }
-    return value;
-  }
-  return recv_value<double>(root, kTagBcast);
+  return reduce_all(value, [](bool a, bool b) { return a || b; });
 }
 
 // ---- Context --------------------------------------------------------------

@@ -3,9 +3,9 @@
 // The driver-facing communication interface.
 //
 // Everything outside src/comm programs against `Transport` (one rank's
-// endpoint: typed send/recv, barrier, reductions, gather/broadcast,
-// comm_seconds) and `Context` (a world of N ranks that runs the same
-// function on every rank). Backends plug in behind the interface:
+// endpoint: typed send/recv, barrier, reductions, comm_seconds) and
+// `Context` (a world of N ranks that runs the same function on every
+// rank). Backends plug in behind the interface:
 //
 //   ThreadTransport  (comm/communicator.hpp)  ranks are threads of this
 //       process exchanging messages through in-memory mailboxes — the
@@ -13,8 +13,8 @@
 //   SocketTransport  (comm/socket_transport.hpp)  ranks are forked OS
 //       processes connected by a full mesh of local stream sockets with
 //       a length-prefixed wire format — the real multi-process scaling
-//       path of the paper's Figs. 3–5, with rank-0 orchestrated
-//       collectives and error propagation through a control channel.
+//       path of the paper's Figs. 3–5, with error propagation through a
+//       control channel.
 //
 // Backend headers are private to src/comm (enforced by ember_lint's
 // comm-backend-include rule); construction goes through
@@ -27,6 +27,8 @@
 // MPI): blocking tagged send/recv with exact (source, tag) matching and
 // per-source-per-tag FIFO order, collectives that every rank must enter,
 // and `comm_seconds()` accounting of time blocked in communication.
+// Backends supply only point-to-point; the collectives are written once,
+// here, so every backend reduces in rank order, bit for bit alike.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,8 +79,9 @@ template <typename T>
 
 // One rank's endpoint. The public methods are non-virtual shells that
 // add the backend-independent bookkeeping — traffic metrics on send,
-// blocked-time accounting on recv and collectives, and the single typed
-// serialization layer — around the virtual do_* backend primitives.
+// blocked-time accounting on recv and collectives, the single typed
+// serialization layer and the collectives themselves — around the three
+// virtual do_* point-to-point primitives a backend implements.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -132,18 +135,17 @@ class Transport {
   }
 
   // ---- collectives (all ranks must call) ----
+  // Every rank sends its value to rank 0, which folds them in rank order
+  // and sends the result back. They travel on internal (negative) tags
+  // through the raw do_* primitives, so they add nothing to traffic().
   void barrier();
   double allreduce_sum(double value);
   long allreduce_sum(long value);
   double allreduce_max(double value);
   bool allreduce_or(bool value);
-  // Gather one double per rank to root (result valid on root only) and
-  // broadcast from root: implemented once, over the typed point-to-point
-  // layer, so both backends behave (and count traffic) identically.
-  [[nodiscard]] std::vector<double> gather(double value, int root = 0);
-  double broadcast(double value, int root = 0);
 
-  // Elapsed seconds this rank has spent blocked in communication calls.
+  // Elapsed seconds this rank has spent blocked in communication calls:
+  // the sum of its `comm.wait` spans (one per receive or collective).
   [[nodiscard]] double comm_seconds() const { return comm_seconds_; }
   void reset_comm_seconds() { comm_seconds_ = 0.0; }
 
@@ -165,18 +167,16 @@ class Transport {
                                                              int tag) = 0;
   [[nodiscard]] virtual std::pair<int, std::vector<std::byte>>
   do_recv_bytes_any(int tag) = 0;
-  virtual void do_barrier() = 0;
-  virtual double do_allreduce_sum(double value) = 0;
-  virtual long do_allreduce_sum(long value) = 0;
-  virtual double do_allreduce_max(double value) = 0;
-  virtual bool do_allreduce_or(bool value) = 0;
 
  private:
+  template <typename T, typename Op>
+  T reduce_all(T value, Op op);
+
   // Thread-confinement contract (why these carry no GUARDED_BY): a
   // Transport is one rank's endpoint, and exactly one thread — that
   // rank's thread — ever calls into it. The shells below mutate these on
   // that thread only; cross-thread state lives behind do_* in the
-  // backend (World's guarded mailboxes / barrier / reduce scratch).
+  // backend (World's guarded mailboxes).
   // Sharing one Transport across threads is a contract violation, not a
   // supported-but-racy mode.
   double comm_seconds_ = 0.0;

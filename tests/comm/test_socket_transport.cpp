@@ -75,9 +75,9 @@ TEST(SocketTransport, ChildExpectFailureFailsTheRun) {
 TEST(SocketTransport, TrafficMetricsMatchThreadBackend) {
   // The same program must move the same comm.messages / comm.bytes on
   // either backend: user sends count once each, collectives count zero
-  // (shared-memory phases on one side, uncounted internal frames on the
-  // other). Socket children report their traffic over the control
-  // channel and the launcher folds it into this process's registry.
+  // (the base's rank-0 fold uses the uncounted do_* primitives). Socket
+  // children report their traffic over the control channel and the
+  // launcher folds it into this process's registry.
   auto run_once = [](TransportKind kind) {
     auto& messages = obs::Registry::global().counter("comm.messages");
     auto& bytes = obs::Registry::global().counter("comm.bytes");

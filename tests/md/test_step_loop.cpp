@@ -291,6 +291,39 @@ TEST(ObsTraceAgreement, CommBucketEqualsEachRanksCommSpans) {
   }
 }
 
+TEST(ObsTraceAgreement, CommWaitSpansSumToCommSeconds) {
+  const System init = make_argon(3, 300.0, 21);
+  auto& session = obs::TraceSession::global();
+  session.clear();
+  session.start();
+  std::vector<double> comm_seconds(2, 0.0);
+  std::vector<int> rank_tid(2, -1);
+  comm::test::make(comm::TransportKind::Thread, 2)
+      ->run([&](comm::Transport& c) {
+    {
+      const obs::ScopedSpan tag("rank.tag", "test", "rank", c.rank());
+    }
+    parallel::ParallelSimulation psim(c, init, lj(), 0.002, 0.1, 7);
+    psim.run(30);
+    comm_seconds[static_cast<std::size_t>(c.rank())] = c.comm_seconds();
+  });
+  session.stop();
+  const auto events = session.snapshot();
+  session.clear();
+
+  for (const auto& e : events) {
+    if (std::string_view(e.name) == "rank.tag") {
+      rank_tid[static_cast<std::size_t>(e.arg_val)] = e.tid;
+    }
+  }
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_GE(rank_tid[r], 0) << "rank " << r;
+    expect_same_seconds(comm_seconds[r],
+                        span_seconds(events, {"comm.wait"}, rank_tid[r]),
+                        "comm.wait");
+  }
+}
+
 TEST(ObsTraceAgreement, StepHistogramSumsTheStepSpans) {
   Simulation sim(make_argon(2, 40.0, 3), lj(), 0.002, 0.4, 5);
   sim.run(1);  // registers md.step.seconds
