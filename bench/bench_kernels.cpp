@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks of the individual SNAP stages, the
 // paper's Listing-1/Listing-5 building blocks, across 2J. Confirms the
 // complexity hierarchy: compute_zi/yi O(J^7) per atom dominates at large
-// 2J; per-neighbor dB O(J^5) vs dE O(J^3) is the adjoint win.
+// 2J; the whole-atom rows show the adjoint win over the Listing-1
+// baseline (per-neighbor dB O(J^5) vs dE O(J^3)).
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "snap/bispectrum.hpp"
+#include "snap/testsnap.hpp"
 
 namespace {
 
@@ -66,45 +68,9 @@ void BM_ComputeYi(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeYi)->Arg(4)->Arg(8)->Arg(14);
 
-void BM_ComputeDuidrj(benchmark::State& state) {
-  const auto w = make_workload(static_cast<int>(state.range(0)));
-  Bispectrum bi(w.params);
-  bi.compute_ui(w.rij, {});
-  for (auto _ : state) {
-    bi.compute_duidrj(w.rij[0], 1.0);
-    benchmark::DoNotOptimize(bi.dulist().data());
-  }
-}
-BENCHMARK(BM_ComputeDuidrj)->Arg(4)->Arg(8)->Arg(14);
-
-void BM_ComputeDeidrj(benchmark::State& state) {
-  const auto w = make_workload(static_cast<int>(state.range(0)));
-  Bispectrum bi(w.params);
-  bi.compute_ui(w.rij, {});
-  bi.compute_yi(w.beta);
-  bi.compute_duidrj(w.rij[0], 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bi.compute_deidrj());
-  }
-}
-BENCHMARK(BM_ComputeDeidrj)->Arg(4)->Arg(8)->Arg(14);
-
-void BM_ComputeDbidrj(benchmark::State& state) {
-  const auto w = make_workload(static_cast<int>(state.range(0)));
-  Bispectrum bi(w.params);
-  bi.compute_ui(w.rij, {});
-  bi.compute_zi();
-  bi.compute_duidrj(w.rij[0], 1.0);
-  for (auto _ : state) {
-    bi.compute_dbidrj();
-    benchmark::DoNotOptimize(bi.dblist().data());
-  }
-}
-BENCHMARK(BM_ComputeDbidrj)->Arg(4)->Arg(8)->Arg(14);
-
-// Whole-atom force evaluation, both execution paths (Listing 1 vs 5).
-// The adjoint row runs the stage sequence SnapPotential runs, on the
-// dispatched kernel table (EMBER_SIMD lowers it).
+// Whole-atom force evaluation, Listing 5 vs Listing 1. The adjoint row
+// runs the stage sequence SnapPotential runs, on the dispatched kernel
+// table (EMBER_SIMD lowers it).
 void BM_AtomAdjoint(benchmark::State& state) {
   const auto w = make_workload(8);
   Bispectrum bi(w.params);
@@ -120,19 +86,14 @@ void BM_AtomAdjoint(benchmark::State& state) {
 }
 BENCHMARK(BM_AtomAdjoint);
 
+// The Listing-1 row: TestSNAP's V0 baseline (Z stored, per-neighbor dB)
+// on the same 2J and neighbor count, one atom per run.
 void BM_AtomBaseline(benchmark::State& state) {
   const auto w = make_workload(8);
-  Bispectrum bi(w.params);
+  TestSnap ts(w.params, 1, static_cast<int>(w.rij.size()));
   for (auto _ : state) {
-    bi.compute_ui(w.rij, {});
-    bi.compute_zi();
-    Vec3 f;
-    for (const auto& r : w.rij) {
-      bi.compute_duidrj(r, 1.0);
-      bi.compute_dbidrj();
-      for (int l = 0; l < bi.num_b(); ++l) f += w.beta[l] * bi.dblist()[l];
-    }
-    benchmark::DoNotOptimize(f);
+    ts.run(TestSnapVariant::V0_Baseline);
+    benchmark::DoNotOptimize(ts.forces().data());
   }
 }
 BENCHMARK(BM_AtomBaseline);

@@ -16,6 +16,7 @@ Trainer::Trainer(snap::SnapParams snap_params, FitOptions options)
     : snap_params_(snap_params), options_(options) {}
 
 void Trainer::add_config(md::System sys, md::PairPotential& oracle) {
+  EMBER_REQUIRE(sys.nlocal() > 0, "training configuration has no atoms");
   TrainingConfig cfg;
   md::NeighborList nl(oracle.cutoff(), 0.0);
   nl.build(sys);
@@ -27,6 +28,8 @@ void Trainer::add_config(md::System sys, md::PairPotential& oracle) {
 }
 
 void Trainer::add_labelled(TrainingConfig cfg) {
+  EMBER_REQUIRE(cfg.system.nlocal() > 0,
+                "training configuration has no atoms");
   EMBER_REQUIRE(static_cast<int>(cfg.forces.size()) == cfg.system.nlocal(),
                 "labelled forces must match the atom count");
   configs_.push_back(std::move(cfg));
@@ -53,6 +56,8 @@ void Trainer::assemble_rows(const TrainingConfig& cfg,
 
   std::vector<Vec3> rij;
   std::vector<int> jlist;
+  std::vector<Vec3> de;
+  std::vector<double> unit(nb, 0.0);
   for (int i = 0; i < n; ++i) {
     rij.clear();
     jlist.clear();
@@ -68,19 +73,23 @@ void Trainer::assemble_rows(const TrainingConfig& cfg,
     bi.compute_bi();
     for (int l = 0; l < nb; ++l) erow[1 + l] += bi.blist()[l];
 
-    // Force rows: F_k -= dB(i)/dr_k, F_i += dB(i)/dr_k for each neighbor.
-    for (std::size_t m = 0; m < rij.size(); ++m) {
-      bi.compute_duidrj(rij[m], 1.0);
-      bi.compute_dbidrj();
-      const int k = jlist[m];
-      for (int l = 0; l < nb; ++l) {
-        const Vec3 db = bi.dblist()[l];
+    // Force rows: dB_l(i)/dr_k is the adjoint dE_i/dr_k with beta = e_l,
+    // so each column is one unit-coefficient yi plus one blocked force
+    // pass. F = -beta . dB, so the design entries carry the minus sign:
+    // F_k -= dB(i)/dr_k and F_i += dB(i)/dr_k.
+    de.resize(rij.size());
+    for (int l = 0; l < nb; ++l) {
+      unit[l] = 1.0;
+      bi.compute_yi(unit);
+      unit[l] = 0.0;
+      bi.compute_deidrj_all(de);
+      for (std::size_t m = 0; m < rij.size(); ++m) {
+        const int k = jlist[m];
         for (int d = 0; d < 3; ++d) {
-          // F = -beta . dB, so the design entry carries the minus sign.
-          rows[(1 + 3 * k + d) * static_cast<std::size_t>(ncols) + 1 + l] +=
-              db[d];
-          rows[(1 + 3 * i + d) * static_cast<std::size_t>(ncols) + 1 + l] -=
-              db[d];
+          rows[(1 + 3 * k + d) * static_cast<std::size_t>(ncols) + 1 + l] -=
+              de[m][d];
+          rows[(1 + 3 * i + d) * static_cast<std::size_t>(ncols) + 1 + l] +=
+              de[m][d];
         }
       }
     }
@@ -88,17 +97,7 @@ void Trainer::assemble_rows(const TrainingConfig& cfg,
 
   rhs[0] = cfg.energy;
   for (int k = 0; k < n; ++k) {
-    for (int d = 0; d < 3; ++d) {
-      // Design rows hold +dB sums; F = -beta . (dB sums), so flip the sign
-      // of the rows instead of the labels for a conventional A beta = y.
-      rhs[1 + 3 * k + d] = cfg.forces[k][d];
-    }
-  }
-  // Flip force rows: A_force = -(dB sums).
-  for (int r = 1; r < 1 + 3 * n; ++r) {
-    for (int c = 0; c < ncols; ++c) {
-      rows[r * static_cast<std::size_t>(ncols) + c] *= -1.0;
-    }
+    for (int d = 0; d < 3; ++d) rhs[1 + 3 * k + d] = cfg.forces[k][d];
   }
 }
 
@@ -175,7 +174,8 @@ FitMetrics Trainer::evaluate(const snap::SnapModel& model) {
       }
     }
   }
-  metrics.energy_rmse_per_atom = std::sqrt(e_sq / metrics.n_configs);
+  metrics.energy_rmse_per_atom =
+      metrics.n_configs > 0 ? std::sqrt(e_sq / metrics.n_configs) : 0.0;
   metrics.force_rmse = f_rows > 0 ? std::sqrt(f_sq / f_rows) : 0.0;
   metrics.force_rms_label =
       f_rows > 0 ? std::sqrt(f_label_sq / f_rows) : 0.0;

@@ -11,8 +11,11 @@
 //   E_cfg             = N beta0 + sum_l beta_l (sum_i B_l(i))
 //   F_(k,alpha)       = - sum_l beta_l (sum_i dB_l(i)/dr_(k,alpha))
 //
-// assembled with the baseline (dB) kernel and solved through the normal
-// equations with a Cholesky factorization.
+// assembled with the production adjoint kernel (dB_l/dr_k is dE_i/dr_k
+// with beta = e_l: one unit-coefficient compute_yi plus one
+// compute_deidrj_all per column) and solved through the normal equations
+// with a Cholesky factorization. Configurations must hold at least one
+// atom.
 
 #include <memory>
 #include <vector>

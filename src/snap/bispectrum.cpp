@@ -23,13 +23,9 @@ Bispectrum::Bispectrum(const SnapParams& params)
   }
 
   utot_.resize(idx_.u_total());
-  ulist_.resize(idx_.u_total());
-  dulist_raw_.resize(idx_.u_total());
-  dulist_.resize(idx_.u_total());
   zlist_.resize(idx_.z_total());
   ylist_.resize(idx_.u_total());
   blist_.resize(idx_.num_b());
-  dblist_.resize(idx_.num_b());
 
   // Resolve the kernel table once per instance: CPUID capability clamped
   // by EMBER_SIMD (non-x86 builds and EMBER_SIMD=scalar get width 1).
@@ -63,70 +59,6 @@ Bispectrum::Bispectrum(const SnapParams& params)
     compute_zi();
     compute_bi_impl(/*subtract_bzero=*/false);
     bzero_.assign(blist_.begin(), blist_.end());
-  }
-}
-
-void Bispectrum::u_recursion(const CayleyKlein& ck, bool with_derivatives) {
-  const int tj = params_.twojmax;
-  const Cplx a = ck.a;
-  const Cplx b = ck.b;
-  const Cplx ac = conj(a);
-  const Cplx mbc = -conj(b);
-
-  ulist_[0] = {1.0, 0.0};
-  if (with_derivatives) dulist_raw_[0] = DU{};
-
-  // Two-term recursion over j (doubled): with row k' = ma, column k = mb,
-  //   mb >= 1:  U^j[ma,mb] = sqrt(ma/mb)      a  U^{j-1}[ma-1,mb-1]
-  //                        + sqrt((j-ma)/mb)  b  U^{j-1}[ma,  mb-1]
-  //   mb == 0:  U^j[ma,0]  = sqrt(ma/j)    (-b*) U^{j-1}[ma-1,0]
-  //                        + sqrt((j-ma)/j)  a*  U^{j-1}[ma,  0]
-  // (derived from the SU(2) monomial generating function; pinned against
-  // the closed form in tests/snap/test_wigner.cpp).
-  for (int j = 1; j <= tj; ++j) {
-    const int blk = idx_.u_block(j);
-    const int pblk = idx_.u_block(j - 1);
-    const int cs = j + 1;  // current row stride
-    const int ps = j;      // previous row stride
-    for (int mb = 0; mb <= j; ++mb) {
-      const bool zero_col = (mb == 0);
-      const Cplx cu = zero_col ? mbc : a;
-      const Cplx cd = zero_col ? ac : b;
-      const int pcol = zero_col ? 0 : mb - 1;
-      const int denom = zero_col ? j : mb;
-      for (int ma = 0; ma <= j; ++ma) {
-        Cplx u{};
-        DU du{};
-        if (ma > 0) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(ma) * (tj + 1) + denom];
-          const Cplx up = ulist_[pblk + (ma - 1) * ps + pcol];
-          u += r * (cu * up);
-          if (with_derivatives) {
-            const DU& dup = dulist_raw_[pblk + (ma - 1) * ps + pcol];
-            for (int d = 0; d < 3; ++d) {
-              const Cplx dcu = zero_col ? -conj(ck.db[d]) : ck.da[d];
-              du.d[d] += r * (dcu * up + cu * dup.d[d]);
-            }
-          }
-        }
-        if (ma < j) {
-          const double r =
-              rootpq_[static_cast<std::size_t>(j - ma) * (tj + 1) + denom];
-          const Cplx up = ulist_[pblk + ma * ps + pcol];
-          u += r * (cd * up);
-          if (with_derivatives) {
-            const DU& dup = dulist_raw_[pblk + ma * ps + pcol];
-            for (int d = 0; d < 3; ++d) {
-              const Cplx dcd = zero_col ? conj(ck.da[d]) : ck.db[d];
-              du.d[d] += r * (dcd * up + cd * dup.d[d]);
-            }
-          }
-        }
-        ulist_[blk + ma * cs + mb] = u;
-        if (with_derivatives) dulist_raw_[blk + ma * cs + mb] = du;
-      }
-    }
   }
 }
 
@@ -244,36 +176,6 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
   mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
 }
 
-Cplx Bispectrum::z_element(const ZTriple& t, int ma, int mb) const {
-  const int j1 = t.j1;
-  const int j2 = t.j2;
-  const int s = (t.j1 + t.j2 - t.j) / 2;
-  const Cplx* u1 = utot_.data() + idx_.u_block(j1);
-  const Cplx* u2 = utot_.data() + idx_.u_block(j2);
-  const int s1 = j1 + 1;
-  const int s2 = j2 + 1;
-
-  Cplx z{};
-  const int ra_lo = std::max(0, ma + s - j2);
-  const int ra_hi = std::min(j1, ma + s);
-  const int cb_lo = std::max(0, mb + s - j2);
-  const int cb_hi = std::min(j1, mb + s);
-  for (int ma1 = ra_lo; ma1 <= ra_hi; ++ma1) {
-    const int ma2 = ma + s - ma1;
-    const double cg_row = idx_.cg(t, ma1, ma2);
-    if (cg_row == 0.0) continue;
-    Cplx rowsum{};
-    for (int mb1 = cb_lo; mb1 <= cb_hi; ++mb1) {
-      const int mb2 = mb + s - mb1;
-      const double cg_col = idx_.cg(t, mb1, mb2);
-      if (cg_col == 0.0) continue;
-      rowsum += cg_col * (u1[ma1 * s1 + mb1] * u2[ma2 * s2 + mb2]);
-    }
-    z += cg_row * rowsum;
-  }
-  return z;
-}
-
 Cplx Bispectrum::z_element_aligned(const ZTriple& t, int ma, int mb) const {
   const int j1 = t.j1;
   const int j2 = t.j2;
@@ -312,7 +214,7 @@ void Bispectrum::compute_zi() {
     const int n = t.j + 1;
     for (int ma = 0; ma < n; ++ma) {
       for (int mb = 0; mb < n; ++mb) {
-        z[ma * n + mb] = z_element(t, ma, mb);
+        z[ma * n + mb] = z_element_aligned(t, ma, mb);
       }
     }
   }
@@ -372,45 +274,15 @@ void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs) {
       }
     }
   }
-  // Keep the full-range ylist_ mirror valid (energy_from_yi and the
-  // full-range dU contraction read it) ...
+  // Keep the full-range ylist_ mirror valid (energy_from_yi reads it) ...
   mirror_half_to_full(y_half_re_.data(), y_half_im_.data(), ylist_);
   // ... then fold the contraction weights into the half planes, so
-  // compute_deidrj is a pure dot product over the half range.
+  // compute_deidrj_all is a pure dot product over the half range.
   const auto& hw = idx_.half_weights();
   for (int e = 0; e < idx_.u_half_total(); ++e) {
     y_half_re_[e] *= hw[e];
     y_half_im_[e] *= hw[e];
   }
-}
-
-void Bispectrum::compute_duidrj(const Vec3& rij, double wj) {
-  const CayleyKlein ck = map_to_sphere(rij, params_.rcut, params_.rfac0,
-                                       params_.rmin0, params_.switch_flag);
-  u_recursion(ck, /*with_derivatives=*/true);
-  for (int i = 0; i < idx_.u_total(); ++i) {
-    for (int d = 0; d < 3; ++d) {
-      dulist_[i].d[d] =
-          wj * (ck.dfc[d] * ulist_[i] + ck.fc * dulist_raw_[i].d[d]);
-    }
-  }
-}
-
-Vec3 Bispectrum::compute_deidrj() const {
-  Vec3 de;
-  for (int i = 0; i < idx_.u_total(); ++i) {
-    const Cplx y = ylist_[i];
-    de.x += re_mul_conj(y, dulist_[i].d[0]);
-    de.y += re_mul_conj(y, dulist_[i].d[1]);
-    de.z += re_mul_conj(y, dulist_[i].d[2]);
-  }
-  // No factor 2: the Y accumulation already contains all three U-slot
-  // dependency paths of every B component (direct + two permuted), so the
-  // full-matrix contraction IS the complete chain rule. (Codes that sum
-  // only half the (ma,mb) range restore the other half with a factor 2 —
-  // compute_yi_coeffs folds exactly that into the half-range Y planes
-  // through the half_weight table.)
-  return de;
 }
 
 void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
@@ -451,47 +323,6 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
   }
 }
 
-void Bispectrum::compute_dbidrj() {
-  EMBER_REQUIRE(have_z_, "compute_dbidrj requires compute_zi");
-  int l = 0;
-  for (const auto& bt : idx_.b_triples()) {
-    const int j1 = bt.j1;
-    const int j2 = bt.j2;
-    const int j = bt.j;
-    Vec3 db;
-    // Direct term  Z^{j}_{j1 j2} : dU*_j  and the two permuted terms of
-    // paper eq. (6); permuted Z's carry the dimension ratio
-    // (2j+1)/(2j_target+1) — see indexing.cpp for the derivation note.
-    struct Term {
-      int za, zb, ztarget;
-      double scale;
-    };
-    const Term terms[3] = {
-        {j1, j2, j, 1.0},
-        {j, j2, j1, static_cast<double>(j + 1) / (j1 + 1)},
-        {j, j1, j2, static_cast<double>(j + 1) / (j2 + 1)},
-    };
-    for (const auto& term : terms) {
-      const ZTriple& t =
-          idx_.z_triples()[idx_.z_index(term.za, term.zb, term.ztarget)];
-      const Cplx* z = zlist_.data() + t.idxz_u;
-      const DU* du = dulist_.data() + idx_.u_block(term.ztarget);
-      const int n = term.ztarget + 1;
-      Vec3 part;
-      for (int e = 0; e < n * n; ++e) {
-        part.x += re_mul_conj(z[e], du[e].d[0]);
-        part.y += re_mul_conj(z[e], du[e].d[1]);
-        part.z += re_mul_conj(z[e], du[e].d[2]);
-      }
-      db += term.scale * part;
-    }
-    // Full-matrix contraction of all three chain-rule terms: no factor 2
-    // (see compute_deidrj).
-    dblist_[l] = db;
-    ++l;
-  }
-}
-
 double Bispectrum::energy_from_yi(double beta0,
                                   std::span<const double> beta) const {
   double sum = 0.0;
@@ -524,20 +355,18 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // fused contraction.
 
 namespace {
-double z_sweep_flops(const SnapIndex& idx, bool canonical_only,
-                     bool half_columns) {
+// Half-column z sweep (2*mb <= t.j) over every coupling triple.
+double z_sweep_flops(const SnapIndex& idx) {
   double total = 0.0;
   for (const auto& t : idx.z_triples()) {
-    if (canonical_only && t.j < t.j1) continue;
     const int s = (t.j1 + t.j2 - t.j) / 2;
     const int n = t.j + 1;
-    const int mb_max = half_columns ? t.j / 2 : t.j;
     double per_matrix = 0.0;
     for (int ma = 0; ma < n; ++ma) {
       const int rlo = std::max(0, ma + s - t.j2);
       const int rhi = std::min(t.j1, ma + s);
       const double rows = rhi - rlo + 1;
-      for (int mb = 0; mb <= mb_max; ++mb) {
+      for (int mb = 0; mb <= t.j / 2; ++mb) {
         const int clo = std::max(0, mb + s - t.j2);
         const int chi = std::min(t.j1, mb + s);
         const double cols = chi - clo + 1;
@@ -569,28 +398,11 @@ double Bispectrum::flops_ui(int nnbor) const {
          2.0 * static_cast<double>(idx_.u_total());
 }
 
-double Bispectrum::flops_zi() const {
-  return z_sweep_flops(idx_, false, false);
-}
-
-double Bispectrum::flops_bi() const {
-  double total = 0.0;
-  for (const auto& bt : idx_.b_triples()) {
-    total += 4.0 * (bt.j + 1) * (bt.j + 1);
-  }
-  return total;
-}
-
 double Bispectrum::flops_yi() const {
   // half-column z sweep + accumulation into the half planes (4 per
   // produced element) + mirror into ylist_ (~2 per full element).
-  return z_sweep_flops(idx_, false, true) + 4.0 * z_half_outputs(idx_) +
+  return z_sweep_flops(idx_) + 4.0 * z_half_outputs(idx_) +
          2.0 * static_cast<double>(idx_.u_total());
-}
-
-double Bispectrum::flops_duidrj_full() const {
-  // recursion with derivatives: ~22 base + 3 dims * 16, plus product rule
-  return 60.0 + (22.0 + 48.0 + 12.0) * static_cast<double>(idx_.u_total());
 }
 
 double Bispectrum::flops_duidrj() const {
@@ -603,17 +415,6 @@ double Bispectrum::flops_duidrj() const {
 double Bispectrum::flops_deidrj() const {
   // fused pass: S0 (4) + three Sd dots (12) per half element.
   return 16.0 * static_cast<double>(idx_.u_half_total());
-}
-
-double Bispectrum::flops_dbidrj() const {
-  double total = 0.0;
-  for (const auto& bt : idx_.b_triples()) {
-    const double nj = (bt.j + 1) * (bt.j + 1);
-    const double nj1 = (bt.j1 + 1) * (bt.j1 + 1);
-    const double nj2 = (bt.j2 + 1) * (bt.j2 + 1);
-    total += 12.0 * (nj + nj1 + nj2);
-  }
-  return total;
 }
 
 double Bispectrum::flops_adjoint_atom(int nnbor) const {

@@ -23,16 +23,18 @@
 // EMBER_SIMD=avx512|avx2|scalar; non-x86 builds and EMBER_SIMD=scalar run
 // the width-1 table.
 //
-// Full-range utot/ylist mirrors are kept, so the full-range reference
-// stages stay valid on any instance:
+// Full-range utot/ylist mirrors are kept: ylist feeds energy_from_yi,
+// and utot feeds the one stage pair that needs the descriptors themselves:
 //
 //   compute_zi -> compute_bi                  descriptors B (Listing 1)
-//   compute_duidrj -> compute_dbidrj          per-neighbor dB (O(J^5))
-//   compute_duidrj -> compute_deidrj          per-neighbor dE, full range
 //
-// FitSNAP-lite (src/fit/trainer.cpp) and quadratic models need B and dB,
-// and tests use these stages, with closed-form Wigner U and TestSNAP V3,
-// as the parity reference for the production kernel (<= 1e-12 per force
+// Quadratic models (beta_eff = beta + alpha B) and the FitSNAP-lite
+// energy rows (src/fit/trainer.cpp) read B. Force rows need no second
+// path: dB_l/dr_k is the adjoint with beta = e_l, so the trainer runs
+// compute_yi with a unit coefficient and compute_deidrj_all per column.
+// The Listing-1 U -> Z -> dU -> dB pipeline lives only in TestSNAP
+// (src/snap/testsnap.hpp), which tests use, with closed-form Wigner U,
+// as the parity reference for this kernel (<= 1e-12 per force
 // component, tests/snap/).
 //
 // The same instance can be reused across atoms (buffers are reset by
@@ -60,12 +62,6 @@ struct SnapParams {
   bool bzero_flag = false; // subtract the isolated-atom bispectrum
 };
 
-// Derivative of the weighted, switched U contribution of one neighbor:
-// d(w * fc(r) * u)/d{x,y,z}.
-struct DU {
-  Cplx d[3];
-};
-
 class Bispectrum {
  public:
   explicit Bispectrum(const SnapParams& params);
@@ -82,7 +78,7 @@ class Bispectrum {
   // pass.
   void compute_ui(std::span<const Vec3> rij, std::span<const double> wj);
 
-  // Baseline: compute and store every coupled Z matrix (O(J^5) memory).
+  // Compute and store every coupled Z matrix (O(J^5) memory); B only.
   void compute_zi();
 
   // Bispectrum components B_l for the canonical triples; requires
@@ -99,11 +95,6 @@ class Bispectrum {
   // out of the per-atom loop entirely.
   void compute_yi_coeffs(std::span<const double> coeffs);
 
-  // Per-neighbor derivative d(w fc u)/dr for the given displacement;
-  // fills the internal dU buffer used by compute_deidrj/compute_dbidrj.
-  // Runs the full-range U + dU recursion from scratch (reference path).
-  void compute_duidrj(const Vec3& rij, double wj);
-
   // Number of neighbors cached by the last compute_ui.
   [[nodiscard]] int cached_neighbors() const { return nnbor_cached_; }
 
@@ -116,21 +107,11 @@ class Bispectrum {
   // ISA this instance dispatched to at construction.
   [[nodiscard]] simd::SimdIsa simd_isa() const { return simd_isa_; }
 
-  // Full-range adjoint force kernel: dE_i/dr_k = Re sum_j Y_j : conj(dU_j)
-  // over the dU of the last compute_duidrj (reference path).
-  [[nodiscard]] Vec3 compute_deidrj() const;
-
-  // Baseline force kernel: dB_l/dr_k for every canonical triple
-  // (requires compute_zi and compute_duidrj).
-  void compute_dbidrj();
-
   // ---- results ----
   [[nodiscard]] std::span<const double> blist() const { return blist_; }
-  [[nodiscard]] std::span<const Vec3> dblist() const { return dblist_; }
   [[nodiscard]] std::span<const Cplx> utot() const { return utot_; }
   [[nodiscard]] std::span<const Cplx> ylist() const { return ylist_; }
   [[nodiscard]] std::span<const Cplx> zlist() const { return zlist_; }
-  [[nodiscard]] std::span<const DU> dulist() const { return dulist_; }
 
   // Energy of the atom given linear SNAP coefficients (beta0 + beta . B);
   // requires compute_bi.
@@ -148,25 +129,15 @@ class Bispectrum {
   // The adjoint counts reflect the work the production kernel executes:
   // the halved column range, the cached (recursion-free) dU pass with the
   // fused contraction, and the mirror expansions, so reported FLOP rates
-  // stay honest. The zi/bi/dbidrj and _full counts describe the full-range
-  // reference stages.
+  // stay honest.
   [[nodiscard]] double flops_ui(int nnbor) const;
-  [[nodiscard]] double flops_zi() const;
-  [[nodiscard]] double flops_bi() const;
   [[nodiscard]] double flops_yi() const;
   [[nodiscard]] double flops_duidrj() const;   // per neighbor, dU recursion
-  [[nodiscard]] double flops_duidrj_full() const;  // full-range recursion
   [[nodiscard]] double flops_deidrj() const;   // per neighbor, fused dot
-  [[nodiscard]] double flops_dbidrj() const;   // per neighbor
   // Total per-atom FLOPs of the adjoint path with nnbor neighbors.
   [[nodiscard]] double flops_adjoint_atom(int nnbor) const;
 
  private:
-  // Single-neighbor U recursion into ulist_; optionally also the
-  // derivative recursion into dulist_raw_ (du of the bare u, before the
-  // fc/weight product rule).
-  void u_recursion(const CayleyKlein& ck, bool with_derivatives);
-
   // Pack lane l of the block starting at neighbor k0 into simd_ck_ /
   // simd_wfc_ (padded lanes repeat the last active neighbor, weight 0).
   void pack_ck_lane(int k0, int lane, int width);
@@ -176,10 +147,8 @@ class Bispectrum {
   void mirror_half_to_full(const double* hre, const double* him,
                            std::vector<Cplx>& full) const;
 
-  // z-matrix element (row ma, col mb) of coupling triple t, from utot_.
-  [[nodiscard]] Cplx z_element(const ZTriple& t, int ma, int mb) const;
-  // Same value through the unit-stride aligned CG blocks (the production
-  // Y sweep).
+  // z-matrix element (row ma, col mb) of coupling triple t, from utot_,
+  // through the unit-stride aligned CG blocks (any ma, mb in 0..t.j).
   [[nodiscard]] Cplx z_element_aligned(const ZTriple& t, int ma,
                                        int mb) const;
 
@@ -192,13 +161,9 @@ class Bispectrum {
   std::vector<double> rootpq_;  // rootpq_[p*(tj+1)+q] = sqrt(p/q)
 
   std::vector<Cplx> utot_;
-  std::vector<Cplx> ulist_;      // per-neighbor scratch
-  std::vector<DU> dulist_raw_;   // per-neighbor du (bare u)
-  std::vector<DU> dulist_;       // d(w fc u)/dr
   std::vector<Cplx> zlist_;
   std::vector<Cplx> ylist_;
   std::vector<double> blist_;
-  std::vector<Vec3> dblist_;
   std::vector<double> bzero_;
   bool have_z_ = false;
 

@@ -19,9 +19,9 @@
 //                        requesting AVX-512 on an AVX2 host yields AVX2.
 //
 // EMBER_SIMD=scalar runs the width-1 table (kernels_scalar.cpp). The
-// references every tier is checked against are the full-range stages
-// (Bispectrum::compute_duidrj + compute_deidrj), closed-form Wigner U and
-// TestSNAP V3 (tests/snap/).
+// references every tier is checked against are TestSNAP's Listing-1
+// per-neighbor dE (listing1_deidrj), closed-form Wigner U and TestSNAP V3
+// (tests/snap/).
 //
 // This header is intrinsics-free; immintrin.h is confined to the
 // kernels_avx*.cpp translation units (enforced by ember_lint's

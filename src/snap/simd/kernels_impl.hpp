@@ -21,8 +21,8 @@
 // derivative-only recursion on the cached bare U plus the fused product
 // rule and Y : dU* contraction. Each lane is one neighbor; the
 // association order per lane is the same at every width, so tiers differ
-// only by FMA contraction rounding. The references are the full-range
-// stages (Bispectrum::u_recursion via compute_duidrj + compute_deidrj),
+// only by FMA contraction rounding. The references are TestSNAP's
+// Listing-1 per-neighbor dE (listing1_deidrj: full-range U, Z and dB),
 // closed-form Wigner U and TestSNAP V3, at <= 1e-12 (tests/snap/).
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include

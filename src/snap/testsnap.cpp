@@ -21,8 +21,28 @@ double rootpq(const std::vector<double>& table, int tj, int p, int q) {
   return table[static_cast<std::size_t>(p) * (tj + 1) + q];
 }
 
+// rootpq table: entry p*(tj+1)+q = sqrt(p/q) for p, q in 1..tj.
+std::vector<double> make_rootpq(int tj) {
+  std::vector<double> table(static_cast<std::size_t>(tj + 1) * (tj + 1), 0.0);
+  for (int p = 1; p <= tj; ++p) {
+    for (int q = 1; q <= tj; ++q) {
+      table[static_cast<std::size_t>(p) * (tj + 1) + q] =
+          std::sqrt(static_cast<double>(p) / q);
+    }
+  }
+  return table;
+}
+
 // Flat single-neighbor U recursion; when half_mb is set only columns with
 // 2*mb <= j are produced (enough for the next level's half range).
+// Two-term recursion over j (doubled): with row k' = ma, column k = mb,
+//   mb >= 1:  U^j[ma,mb] = sqrt(ma/mb)      a  U^{j-1}[ma-1,mb-1]
+//                        + sqrt((j-ma)/mb)  b  U^{j-1}[ma,  mb-1]
+//   mb == 0:  U^j[ma,0]  = sqrt(ma/j)    (-b*) U^{j-1}[ma-1,0]
+//                        + sqrt((j-ma)/j)  a*  U^{j-1}[ma,  0]
+// (derived from the SU(2) monomial generating function; the production
+// ui kernel runs the same recursion, pinned against closed-form Wigner
+// matrices in tests/snap/test_symmetric_kernel.cpp).
 void u_recur_flat(const SnapIndex& idx, const std::vector<double>& rp, int tj,
                   const CayleyKlein& ck, Cplx* u, bool half_mb) {
   const Cplx a = ck.a;
@@ -316,6 +336,62 @@ Vec3 db_force(const SnapIndex& idx, std::span<const double> beta, ZAt&& z_at,
 
 }  // namespace
 
+std::vector<Vec3> listing1_deidrj(const SnapParams& params,
+                                  std::span<const Vec3> rij,
+                                  std::span<const double> wj,
+                                  std::span<const double> beta) {
+  const SnapIndex idx(params.twojmax);
+  EMBER_REQUIRE(static_cast<int>(beta.size()) == idx.num_b(),
+                "beta size must equal the number of bispectrum components");
+  EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
+                "weight array size mismatch");
+  const int tj = params.twojmax;
+  const std::vector<double> rp = make_rootpq(tj);
+  const int u_total = idx.u_total();
+  const auto& triples = idx.z_triples();
+
+  // compute_U: self term plus the weighted, switched U of every neighbor.
+  std::vector<Cplx> utot(u_total);
+  std::vector<Cplx> u(u_total);
+  for (int j = 0; j <= tj; ++j) {
+    for (int ma = 0; ma <= j; ++ma) {
+      utot[idx.u_index(j, ma, ma)] += Cplx{params.wself, 0.0};
+    }
+  }
+  std::vector<CayleyKlein> cks(rij.size());
+  std::vector<double> w(rij.size(), 1.0);
+  for (std::size_t k = 0; k < rij.size(); ++k) {
+    cks[k] = map_to_sphere(rij[k], params.rcut, params.rfac0, params.rmin0,
+                           params.switch_flag);
+    if (!wj.empty()) w[k] = wj[k];
+    u_recur_flat(idx, rp, tj, cks[k], u.data(), false);
+    const double wfc = w[k] * cks[k].fc;
+    for (int e = 0; e < u_total; ++e) utot[e] += wfc * u[e];
+  }
+
+  // compute_Z: every coupled matrix, stored (O(J^5)).
+  std::vector<Cplx> z(idx.z_total());
+  for (const auto& t : triples) {
+    const int n = t.j + 1;
+    for (int ma = 0; ma < n; ++ma) {
+      for (int mb = 0; mb < n; ++mb) {
+        z[t.idxz_u + ma * n + mb] = z_elem(idx, utot.data(), t, ma, mb);
+      }
+    }
+  }
+
+  // compute_dU -> compute_dB per neighbor, contracted with beta.
+  std::vector<DU3> du(u_total);
+  std::vector<Vec3> de(rij.size());
+  for (std::size_t k = 0; k < rij.size(); ++k) {
+    du_recur_flat(idx, rp, tj, cks[k], w[k], u.data(), du.data(), false);
+    de[k] = db_force(
+        idx, beta, [&](int zi, int e) { return z[triples[zi].idxz_u + e]; },
+        [&](int j, int e) -> const DU3& { return du[idx.u_block(j) + e]; });
+  }
+  return de;
+}
+
 const char* to_string(TestSnapVariant v) {
   switch (v) {
     case TestSnapVariant::V0_Baseline:
@@ -340,15 +416,11 @@ const char* to_string(TestSnapVariant v) {
 
 TestSnap::TestSnap(const SnapParams& params, int natoms, int nnbor,
                    std::uint64_t seed)
-    : params_(params), idx_(params.twojmax), natoms_(natoms), nnbor_(nnbor) {
-  const int tj = params_.twojmax;
-  rootpq_.resize(static_cast<std::size_t>(tj + 1) * (tj + 1), 0.0);
-  for (int p = 1; p <= tj; ++p) {
-    for (int q = 1; q <= tj; ++q) {
-      rootpq_[static_cast<std::size_t>(p) * (tj + 1) + q] =
-          std::sqrt(static_cast<double>(p) / q);
-    }
-  }
+    : params_(params),
+      idx_(params.twojmax),
+      natoms_(natoms),
+      nnbor_(nnbor),
+      rootpq_(make_rootpq(params.twojmax)) {
   Rng rng(seed);
   beta_.resize(idx_.num_b());
   for (auto& b : beta_) b = rng.uniform(-1.0, 1.0);

@@ -58,6 +58,18 @@ inline constexpr TestSnapVariant kAllTestSnapVariants[] = {
 
 const char* to_string(TestSnapVariant v);
 
+// Listing-1 reference for one neighborhood: de[k] = dE_i/dr_k =
+// sum_l beta[l] dB_l/dr_k through the full-range U -> Z -> dU -> dB
+// pipeline of V2, with per-neighbor weights wj (empty: all 1) and any
+// coefficients, a quadratic model's beta_eff included. It shares only the
+// Cayley-Klein mapping and the CG tables with Bispectrum (no recursion,
+// Z/Y sweep or contraction), so tests use it as the parity oracle for the
+// adjoint kernel and for the trainer's force rows (beta = e_l).
+std::vector<Vec3> listing1_deidrj(const SnapParams& params,
+                                  std::span<const Vec3> rij,
+                                  std::span<const double> wj,
+                                  std::span<const double> beta);
+
 class TestSnap {
  public:
   // Synthetic workload matching the companion paper's setup: natoms

@@ -89,6 +89,29 @@ TEST(FitProperties, StandardConfigsAreDiverseAndWellFormed) {
 TEST(FitProperties, EvaluateOnEmptyTrainerIsSafe) {
   Trainer t(small_params());
   EXPECT_THROW((void)t.fit(), Error);
+  // Evaluating a model on no configurations reports zero error, not NaN.
+  snap::SnapModel model;
+  model.params = small_params();
+  model.beta.assign(snap::SnapIndex(model.params.twojmax).num_b(), 0.0);
+  const FitMetrics m = t.evaluate(model);
+  EXPECT_EQ(m.n_configs, 0);
+  EXPECT_EQ(m.n_force_rows, 0);
+  EXPECT_TRUE(std::isfinite(m.energy_rmse_per_atom));
+  EXPECT_TRUE(std::isfinite(m.force_rmse));
+  EXPECT_TRUE(std::isfinite(m.force_rms_label));
+}
+
+TEST(FitProperties, ZeroAtomConfigIsRejected) {
+  // An empty configuration would give its energy row weight 1/0 and turn
+  // the normal equations into NaN; both entry points refuse it.
+  ref::PairTersoff oracle;
+  Trainer t(small_params());
+  const md::System empty(md::Box(10.0, 10.0, 10.0), 12.011);
+  EXPECT_THROW(t.add_config(empty, oracle), Error);
+  TrainingConfig cfg;
+  cfg.system = empty;
+  EXPECT_THROW(t.add_labelled(cfg), Error);
+  EXPECT_EQ(t.num_configs(), 0);
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 #pragma once
 
-// Tests-only SNAP force reference: the paper's Listing-1 baseline, built
-// from Bispectrum's full-range reference stages. Per atom i it computes
-// the descriptors B (compute_zi + compute_bi), the site energy, and for
-// every neighbor k the full-range dB_l/dr_k (compute_duidrj +
-// compute_dbidrj) contracted with the effective coefficients
-// beta + alpha B, so dE_i/dr_k = sum_l beta_eff[l] dB_l/dr_k. Z storage is
-// O(J^5) and the dB pass is O(J^5) per neighbor: slow, and independent of
-// the adjoint Y / half-range / SIMD machinery SnapPotential runs, which
-// makes it the parity oracle for that production kernel. Utot comes from
-// compute_ui pinned to the width-1 scalar table, so on a vector host even
-// the shared first stage runs at a different lane width than
+// Tests-only SNAP force reference: the paper's Listing-1 baseline. Per
+// atom i it computes the descriptors B (compute_zi + compute_bi), the
+// site energy, and for every neighbor k dE_i/dr_k = sum_l beta_eff[l]
+// dB_l/dr_k through TestSNAP's full-range U -> Z -> dU -> dB pipeline
+// (listing1_deidrj), with the effective coefficients beta + alpha B. Z
+// storage is O(J^5) and the dB pass is O(J^5) per neighbor: slow, and
+// independent of the adjoint Y / half-range / SIMD machinery SnapPotential
+// runs, which makes it the parity oracle for that production kernel. B
+// comes from compute_ui pinned to the width-1 scalar table, so on a vector
+// host even the shared first stage runs at a different lane width than
 // SnapPotential's.
 
 #include <vector>
@@ -19,6 +18,7 @@
 #include "md/system.hpp"
 #include "scoped_simd_env.hpp"
 #include "snap/snap_potential.hpp"
+#include "snap/testsnap.hpp"
 
 namespace ember::snap::reference {
 
@@ -59,14 +59,12 @@ inline ForceRun reference_forces(const SnapModel& model,
     bi.compute_bi();
     out.energy += model.site_energy(bi.blist());
     model.effective_beta(bi.blist(), beta_eff);
+    const std::vector<Vec3> de =  // dE_i/dr_k
+        listing1_deidrj(model.params, rij, {}, beta_eff);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      bi.compute_duidrj(rij[m], 1.0);
-      bi.compute_dbidrj();
-      Vec3 de;  // dE_i/dr_k
-      for (int l = 0; l < bi.num_b(); ++l) de += beta_eff[l] * bi.dblist()[l];
-      out.f[jlist[m]] -= de;
-      out.f[i] += de;
-      out.virial += -dot(rij[m], de);
+      out.f[jlist[m]] -= de[m];
+      out.f[i] += de[m];
+      out.virial += -dot(rij[m], de[m]);
     }
   }
   return out;

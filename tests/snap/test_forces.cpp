@@ -1,6 +1,7 @@
-// Force-path validation: the adjoint kernel (compute_yi / compute_deidrj)
-// and the baseline kernel (compute_zi / compute_dbidrj) must both agree
-// with central finite differences of the SNAP energy, and with each other.
+// Force-path validation: the production adjoint kernel (compute_yi /
+// compute_deidrj_all) and TestSNAP's Listing-1 reference (listing1_deidrj,
+// the full-range Z / dB pipeline) must both agree with central finite
+// differences of the SNAP energy, and with each other.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "snap/bispectrum.hpp"
+#include "snap/testsnap.hpp"
 
 namespace ember::snap {
 namespace {
@@ -77,18 +79,19 @@ std::vector<Vec3> adjoint_forces(Bispectrum& bi, const Cluster& c,
     }
     bi.compute_ui(rij, {});
     bi.compute_yi(beta);
+    std::vector<Vec3> de(rij.size());  // dE_i / dr_k
+    bi.compute_deidrj_all(de);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      bi.compute_duidrj(rij[m], 1.0);
-      const Vec3 de = bi.compute_deidrj();  // dE_i / dr_k
-      f[nbr[m]] -= de;
-      f[i] += de;  // dE_i/dr_i = -sum_k dE_i/dr_k
+      f[nbr[m]] -= de[m];
+      f[i] += de[m];  // dE_i/dr_i = -sum_k dE_i/dr_k
     }
   }
   return f;
 }
 
-// Forces via the baseline path (per-neighbor dB contracted with beta).
-std::vector<Vec3> baseline_forces(Bispectrum& bi, const Cluster& c,
+// Forces via TestSNAP's Listing-1 reference (per-neighbor dB contracted
+// with beta).
+std::vector<Vec3> baseline_forces(const SnapParams& p, const Cluster& c,
                                   std::span<const double> beta) {
   std::vector<Vec3> f(c.pos.size());
   std::vector<Vec3> rij;
@@ -104,15 +107,10 @@ std::vector<Vec3> baseline_forces(Bispectrum& bi, const Cluster& c,
         nbr.push_back(k);
       }
     }
-    bi.compute_ui(rij, {});
-    bi.compute_zi();
+    const std::vector<Vec3> de = listing1_deidrj(p, rij, {}, beta);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      bi.compute_duidrj(rij[m], 1.0);
-      bi.compute_dbidrj();
-      Vec3 de;
-      for (int l = 0; l < bi.num_b(); ++l) de += beta[l] * bi.dblist()[l];
-      f[nbr[m]] -= de;
-      f[i] += de;
+      f[nbr[m]] -= de[m];
+      f[i] += de[m];
     }
   }
   return f;
@@ -167,7 +165,7 @@ TEST(SnapForcesPaths, BaselineEqualsAdjoint) {
   const auto beta = random_beta(rng, bi.num_b());
 
   const auto fa = adjoint_forces(bi, c, beta);
-  const auto fb = baseline_forces(bi, c, beta);
+  const auto fb = baseline_forces(p, c, beta);
   for (std::size_t k = 0; k < c.pos.size(); ++k) {
     for (int d = 0; d < 3; ++d) {
       EXPECT_NEAR(fa[k][d], fb[k][d],
@@ -176,32 +174,50 @@ TEST(SnapForcesPaths, BaselineEqualsAdjoint) {
   }
 }
 
-TEST(SnapForcesPaths, DuMatchesFiniteDifferenceOfU) {
-  // d(fc * u)/dr check for a single neighbor against finite differences of
-  // compute_ui (wself = 0 so utot is exactly the weighted U of the pair).
+TEST(SnapForcesPaths, ReferenceMatchesFiniteDifferenceOfBetaB) {
+  // Pins the Listing-1 oracle on its own: per-neighbor dE_i/dr_k from
+  // listing1_deidrj against central differences of beta . B, with B from
+  // Bispectrum's descriptor stages, non-unit neighbor weights and rmin0 > 0,
+  // so a bug shared by the oracle and the adjoint kernel cannot hide.
   SnapParams p;
   p.twojmax = 6;
-  p.rcut = 4.0;
-  p.wself = 0.0;
+  p.rcut = 3.6;
+  p.rmin0 = 0.2;
   Bispectrum bi(p);
+  Rng rng(19);
+  std::vector<Vec3> rij;
+  std::vector<double> wj;
+  while (rij.size() < 8) {
+    const Vec3 r{rng.uniform(-p.rcut, p.rcut), rng.uniform(-p.rcut, p.rcut),
+                 rng.uniform(-p.rcut, p.rcut)};
+    if (r.norm() > 0.9 && r.norm() < 0.95 * p.rcut) {
+      rij.push_back(r);
+      wj.push_back(rng.uniform(0.5, 1.5));
+    }
+  }
+  const auto beta = random_beta(rng, bi.num_b());
+  const std::vector<Vec3> de = listing1_deidrj(p, rij, wj, beta);
+  ASSERT_EQ(de.size(), rij.size());
 
-  const Vec3 r0{1.3, -0.4, 1.7};
-  bi.compute_duidrj(r0, 1.0);
-  std::vector<DU> du(bi.dulist().begin(), bi.dulist().end());
-
+  const auto beta_dot_b = [&](const std::vector<Vec3>& r) {
+    bi.compute_ui(r, wj);
+    bi.compute_zi();
+    bi.compute_bi();
+    double e = 0.0;
+    for (int l = 0; l < bi.num_b(); ++l) e += beta[l] * bi.blist()[l];
+    return e;
+  };
   const double h = 1e-6;
-  for (int d = 0; d < 3; ++d) {
-    Vec3 rp = r0, rm = r0;
-    rp[d] += h;
-    rm[d] -= h;
-    bi.compute_ui(std::span<const Vec3>(&rp, 1), {});
-    std::vector<Cplx> up(bi.utot().begin(), bi.utot().end());
-    bi.compute_ui(std::span<const Vec3>(&rm, 1), {});
-    for (int i = 0; i < bi.index().u_total(); ++i) {
-      const double fdre = (up[i].re - bi.utot()[i].re) / (2 * h);
-      const double fdim = (up[i].im - bi.utot()[i].im) / (2 * h);
-      EXPECT_NEAR(du[i].d[d].re, fdre, 1e-6);
-      EXPECT_NEAR(du[i].d[d].im, fdim, 1e-6);
+  for (std::size_t m = 0; m < rij.size(); ++m) {
+    for (int d = 0; d < 3; ++d) {
+      auto pert = rij;
+      pert[m][d] += h;
+      const double ep = beta_dot_b(pert);
+      pert[m][d] -= 2 * h;
+      const double em = beta_dot_b(pert);
+      const double fd = (ep - em) / (2 * h);
+      EXPECT_NEAR(de[m][d], fd, 2e-5 * std::max(1.0, std::abs(fd)))
+          << "neighbor " << m << " dim " << d;
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "snap/bispectrum.hpp"
+#include "snap/testsnap.hpp"
 #include "snap/wigner.hpp"
 #include "scoped_simd_env.hpp"
 
@@ -75,10 +76,13 @@ TEST_P(SnapParamSweep, ForcesStillMatchFiniteDifferences) {
   std::vector<double> beta(bi.num_b());
   for (auto& b : beta) b = rng.uniform(-1, 1);
 
+  // Production kernel and the Listing-1 reference, neighbor 0.
   bi.compute_ui(rij, {});
   bi.compute_yi(beta);
-  bi.compute_duidrj(rij[0], 1.0);
-  const Vec3 de = bi.compute_deidrj();
+  std::vector<Vec3> de_all(rij.size());
+  bi.compute_deidrj_all(de_all);
+  const Vec3 de = de_all[0];
+  const Vec3 de_ref = listing1_deidrj(p, rij, {}, beta)[0];
 
   const double h = 1e-6;
   for (int d = 0; d < 3; ++d) {
@@ -96,6 +100,8 @@ TEST_P(SnapParamSweep, ForcesStillMatchFiniteDifferences) {
     double em = 0;
     for (int l = 0; l < bi.num_b(); ++l) em += beta[l] * bi.blist()[l];
     EXPECT_NEAR(de[d], (ep - em) / (2 * h), 2e-5 * std::max(1.0, std::abs(de[d])));
+    EXPECT_NEAR(de_ref[d], (ep - em) / (2 * h),
+                2e-5 * std::max(1.0, std::abs(de_ref[d])));
   }
 }
 
@@ -239,8 +245,9 @@ TEST(SnapEdge, SingleNeighborForcesAreCentral) {
   const std::vector<Vec3> rij{bond};
   bi.compute_ui(rij, {});
   bi.compute_yi(beta);
-  bi.compute_duidrj(bond, 1.0);
-  const Vec3 de = bi.compute_deidrj();
+  std::vector<Vec3> de_all(1);
+  bi.compute_deidrj_all(de_all);
+  const Vec3 de = de_all[0];
   // de parallel to bond: cross product vanishes.
   const Vec3 c = cross(de, bond);
   EXPECT_NEAR(c.norm(), 0.0, 1e-10 * std::max(1.0, de.norm() * bond.norm()));

@@ -1,7 +1,7 @@
 // SIMD ("V8") dispatch parity contract: the production kernel on the
 // dispatched vector table must agree with the width-1 scalar table
-// (EMBER_SIMD=scalar) and with the full-range reference stages
-// (compute_duidrj + compute_deidrj) to <= 1e-12 per component across 2J,
+// (EMBER_SIMD=scalar) and with TestSNAP's Listing-1 reference
+// (listing1_deidrj) to <= 1e-12 per component across 2J,
 // neighbor counts that exercise every remainder-lane case, thread counts,
 // and the full SnapPotential evaluation. Every ISA the binary supports
 // must have a kernel table of its lane width, default parameters must
@@ -24,6 +24,7 @@
 #include "snap/simd/dispatch.hpp"
 #include "snap/simd/kernels.hpp"
 #include "snap/snap_potential.hpp"
+#include "snap/testsnap.hpp"
 #include "scoped_simd_env.hpp"
 
 namespace ember::snap {
@@ -90,22 +91,22 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
     EXPECT_NEAR(e_simd, e_scalar, 1e-12 * std::max(1.0, std::abs(e_scalar)));
 
     // Blocked force pass, dispatched vs width-1, and each against the
-    // full-range recursion: the scalar table runs the same template as
-    // the vector ones, so only the reference catches a template bug. The
+    // Listing-1 reference: the scalar table runs the same template as the
+    // vector ones, so only the reference catches a template bug. The
     // padded remainder lanes must not leak into any neighbor's force.
     std::vector<Vec3> de_simd(rij.size());
     std::vector<Vec3> de_scalar(rij.size());
     simd.compute_deidrj_all(de_simd);
     scalar.compute_deidrj_all(de_scalar);
+    const std::vector<Vec3> de_ref =
+        listing1_deidrj(base_params(twojmax), rij, wj, beta);
     for (std::size_t m = 0; m < rij.size(); ++m) {
-      scalar.compute_duidrj(rij[m], wj[m]);
-      const Vec3 de_full = scalar.compute_deidrj();
       for (int d = 0; d < 3; ++d) {
         EXPECT_NEAR(de_simd[m][d], de_scalar[m][d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
-        EXPECT_NEAR(de_simd[m][d], de_full[d], 1e-12)
+        EXPECT_NEAR(de_simd[m][d], de_ref[m][d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
-        EXPECT_NEAR(de_scalar[m][d], de_full[d], 1e-12)
+        EXPECT_NEAR(de_scalar[m][d], de_ref[m][d], 1e-12)
             << "n=" << nn << " neighbor " << m << " dim " << d;
       }
     }

@@ -7,8 +7,11 @@
 //     the adjoint energy against the explicit beta . B energy;
 //   - per-atom force sums against TestSNAP V3 (the full-range adjoint
 //     scheme: every (ma, mb) element, each neighbor's U recursion run
-//     twice), and per-neighbor forces against the full-range
-//     compute_duidrj recursion;
+//     twice), and per-neighbor forces against TestSNAP's Listing-1
+//     reference (listing1_deidrj: full-range Z and dB);
+//   - the trainer's stage sequence (B, then one unit-coefficient yi and
+//     force pass per column): unit rows against listing1_deidrj, their
+//     beta-weighted sum against the beta pass, B left untouched;
 //   - the full SnapPotential force/energy/virial evaluation, for linear
 //     and quadratic models across thread counts, against the tests-only
 //     Listing-1 baseline in snap_reference.hpp.
@@ -125,7 +128,7 @@ TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
                 1e-12 * std::max(1.0, std::abs(e_explicit)));
 
     // Blocked force pass: per-atom sum against TestSNAP V3, and each
-    // neighbor against the full-range recursion on the same instance.
+    // neighbor against TestSNAP's Listing-1 reference.
     bi.compute_deidrj_all(de);
     Vec3 fsum;
     for (const Vec3& d : de) fsum += d;
@@ -133,11 +136,10 @@ TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
       EXPECT_NEAR(fsum[d], kScale * oracle.forces()[i][d], 1e-12)
           << "atom " << i << " dim " << d;
     }
+    const std::vector<Vec3> de_ref = listing1_deidrj(p, rij, {}, beta);
     for (int m = 0; m < kNeighbors; ++m) {
-      bi.compute_duidrj(rij[m], 1.0);
-      const Vec3 de_full = bi.compute_deidrj();
       for (int d = 0; d < 3; ++d) {
-        EXPECT_NEAR(de[m][d], de_full[d], 1e-12)
+        EXPECT_NEAR(de[m][d], de_ref[m][d], 1e-12)
             << "atom " << i << " neighbor " << m << " dim " << d;
       }
     }
@@ -148,32 +150,50 @@ INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SymmetricKernelParity,
                          ::testing::Values(2, 4, 6, 8, 14));
 
 TEST(SymmetricKernel, MixedStageSequenceStaysCorrect) {
-  // The full-range compute_duidrj entry point must remain valid (the
-  // trainer and the reference force loops use it), including when
-  // interleaved with blocked force passes on the same instance: neither
-  // may disturb the other's cached state.
+  // The trainer's stage sequence on one instance: compute_ui ->
+  // compute_zi -> compute_bi, then per column l one unit-coefficient
+  // compute_yi and one compute_deidrj_all (dB_l/dr_k is the adjoint with
+  // beta = e_l). The unit rows must each match the Listing-1 dB_l/dr_k,
+  // sum back to the beta-weighted pass, and leave B untouched.
   Rng rng(91);
   const auto rij = random_shell(rng, 12, 0.9, 3.0);
-  Bispectrum bi(base_params(8));
-  std::vector<double> beta(bi.num_b());
+  const SnapParams p = base_params(8);
+  Bispectrum bi(p);
+  const int nb = bi.num_b();
+  std::vector<double> beta(nb);
   for (auto& b : beta) b = 0.01 * rng.uniform(-1.0, 1.0);
 
   bi.compute_ui(rij, {});
-  bi.compute_yi(beta);
-  std::vector<Vec3> de_first(rij.size());
-  bi.compute_deidrj_all(de_first);
-  for (std::size_t m = 0; m < rij.size(); ++m) {
-    bi.compute_duidrj(rij[m], 1.0);  // full-range recursion, same neighbor
-    const Vec3 de_full = bi.compute_deidrj();
-    std::vector<Vec3> de_again(rij.size());
-    bi.compute_deidrj_all(de_again);
-    for (int d = 0; d < 3; ++d) {
-      EXPECT_NEAR(de_first[m][d], de_full[d], 1e-12);
-      // The blocked pass reads only the compute_ui/compute_yi caches.
-      EXPECT_EQ(de_again[m][d], de_first[m][d]);
+  bi.compute_zi();
+  bi.compute_bi();
+  const std::vector<double> b0(bi.blist().begin(), bi.blist().end());
+
+  std::vector<double> unit(nb, 0.0);
+  std::vector<Vec3> de(rij.size());
+  std::vector<Vec3> weighted(rij.size());
+  for (int l = 0; l < nb; ++l) {
+    unit[l] = 1.0;
+    bi.compute_yi(unit);
+    bi.compute_deidrj_all(de);
+    const std::vector<Vec3> ref = listing1_deidrj(p, rij, {}, unit);
+    unit[l] = 0.0;
+    for (std::size_t m = 0; m < rij.size(); ++m) {
+      weighted[m] += beta[l] * de[m];
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_NEAR(de[m][d], ref[m][d], 1e-12)
+            << "column " << l << " neighbor " << m << " dim " << d;
+      }
     }
-    // ... and the full-range dU survives a blocked pass in between.
-    EXPECT_EQ(bi.compute_deidrj()[0], de_full[0]);
+  }
+  for (int l = 0; l < nb; ++l) EXPECT_EQ(bi.blist()[l], b0[l]) << l;
+
+  bi.compute_yi(beta);
+  bi.compute_deidrj_all(de);
+  for (std::size_t m = 0; m < rij.size(); ++m) {
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_NEAR(weighted[m][d], de[m][d], 1e-12)
+          << "neighbor " << m << " dim " << d;
+    }
   }
 }
 
