@@ -7,9 +7,11 @@
 #      gcc; the wrapper prints the skip reason in that case).
 #   2. Release build + the complete test suite (the tier-1 gate).
 #   3. ThreadSanitizer build + the thread-parity tests (the SNAP force
-#      engine is threaded; TSan pins the no-shared-mutable-state design)
-#      and the AsyncIo suite (the writer thread's queue/backpressure/
-#      error handshake is exactly the kind of code TSan exists for).
+#      engine is threaded; TSan pins the no-shared-mutable-state design),
+#      the AsyncIo suite (the writer thread's queue/backpressure/
+#      error handshake is exactly the kind of code TSan exists for) and
+#      the domain-decomposition halo tests (thread-transport ranks share
+#      one address space, so the halo path runs under TSan too).
 #   4. bench_record: re-measure the headline kernel curves and refresh
 #      BENCH_headline.json at the repo root (validated as JSON).
 #   5. Observability smoke: a traced ember_run demo; the Chrome trace
@@ -44,10 +46,10 @@ cmake --build build-tsan -j "$JOBS" --target \
   test_thread_pool test_snap_symmetric_kernel test_snap_simd_kernel \
   test_md_dynamics test_md_step_loop test_obs_metrics test_obs_trace \
   test_io_embt1 test_io_async_writer test_io_driver_parity \
-  test_app_interpreter
+  test_app_interpreter test_parallel_sim test_parallel_properties
 TSAN_OPTIONS="suppressions=$PWD/scripts/suppressions/tsan.supp" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|SimdKernel|TwoJmaxSweep|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1'
+  -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|SimdKernel|TwoJmaxSweep|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1|ParallelVsSerial|Halo|OddRankCounts'
 
 echo "== [4/7] bench_record =="
 cmake --build build -j "$JOBS" --target bench_record

@@ -116,16 +116,22 @@ void check_atom_conservation(long have, long expected, const char* stage,
   }
 }
 
-void check_ghost_legs(std::span<const int> leg_counts, int nghost,
+void check_ghost_legs(std::span<const GhostLeg> legs, int rank, int nghost,
                       const char* stage, long step) {
   long sum = 0;
-  for (const int c : leg_counts) {
-    if (c < 0) {
+  for (const GhostLeg& leg : legs) {
+    if (leg.send_to == rank || leg.recv_from == rank) {
       throw InvariantViolation(stage, step,
-                               "negative ghost count " + std::to_string(c) +
+                               "exchange leg of rank " + std::to_string(rank) +
+                                   " sends to or receives from itself");
+    }
+    if (leg.ghost_count < 0) {
+      throw InvariantViolation(stage, step,
+                               "negative ghost count " +
+                                   std::to_string(leg.ghost_count) +
                                    " on an exchange leg");
     }
-    sum += c;
+    sum += leg.ghost_count;
   }
   if (sum != nghost) {
     throw InvariantViolation(

@@ -73,9 +73,18 @@ void check_no_ghosts(const md::System& sys, const char* stage, long step);
 void check_atom_conservation(long have, long expected, const char* stage,
                              long step);
 
-// Halo bookkeeping: the per-leg ghost counts recorded during the exchange
-// must add up to the ghosts actually appended to the system.
-void check_ghost_legs(std::span<const int> leg_counts, int nghost,
+// One halo leg of a parallel exchange, as the checks see it.
+struct GhostLeg {
+  int send_to = -1;
+  int recv_from = -1;
+  int ghost_count = 0;
+};
+
+// Halo bookkeeping: every leg crosses to another rank (a dimension one
+// rank holds is reached through periodic shifts, never through a leg to
+// `rank` itself), no count is negative, and the per-leg ghost counts add
+// up to the ghosts actually appended to the system.
+void check_ghost_legs(std::span<const GhostLeg> legs, int rank, int nghost,
                       const char* stage, long step);
 
 // Energy-drift tripwire. Armed with a reference total energy and a

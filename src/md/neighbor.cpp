@@ -19,14 +19,8 @@ void NeighborList::build(const System& sys, bool use_ghosts,
   EMBER_REQUIRE(cutoff_ > 0.0, "neighbor list cutoff not set");
   first_.assign(sys.nlocal() + 1, 0);
   entries_.clear();
-
-  if (use_ghosts) {
-    // Parallel path: ghosts are explicit pre-shifted copies; bin every atom
-    // into cells over the joint bounding box, no periodic wrapping.
-    build_cells(sys, ctx);
-  } else {
-    build_periodic_range(sys, sys.box(), 0, sys.nlocal(), ctx);
-  }
+  build_periodic_range(sys, sys.box(), 0, sys.nlocal(),
+                       use_ghosts ? sys.ntotal() : sys.nlocal(), ctx);
 
   x_at_build_.assign(sys.x.begin(), sys.x.begin() + sys.nlocal());
   box_at_build_ = sys.box().lengths();
@@ -49,7 +43,8 @@ void NeighborList::build_batched(const System& combined,
   first_.assign(combined.nlocal() + 1, 0);
   entries_.clear();
   for (std::size_t r = 0; r < boxes.size(); ++r) {
-    build_periodic_range(combined, boxes[r], offsets[r], offsets[r + 1], ctx);
+    build_periodic_range(combined, boxes[r], offsets[r], offsets[r + 1],
+                         offsets[r + 1], ctx);
   }
   x_at_build_.assign(combined.x.begin(),
                      combined.x.begin() + combined.nlocal());
@@ -57,16 +52,20 @@ void NeighborList::build_batched(const System& combined,
 }
 
 void NeighborList::build_periodic_range(const System& sys, const Box& box,
-                                        int begin, int end,
+                                        int begin, int end, int cand_end,
                                         const ComputeContext* ctx) {
+  // The cell stencil reaches one cell each way, so a periodic dimension
+  // needs three cells to keep every image distinct; an open dimension
+  // bins the candidates' extent and fits any size.
   const double rlist = cutoff_ + skin_;
-  const bool cells_ok = box.length(0) / rlist >= 3.0 &&
-                        box.length(1) / rlist >= 3.0 &&
-                        box.length(2) / rlist >= 3.0;
+  bool cells_ok = true;
+  for (int d = 0; d < 3; ++d) {
+    cells_ok = cells_ok && (!box.periodic(d) || box.length(d) / rlist >= 3.0);
+  }
   if (cells_ok) {
-    build_cells_range(sys, box, begin, end, ctx);
+    build_cells_range(sys, box, begin, end, cand_end, ctx);
   } else {
-    build_brute_force_range(sys, box, begin, end, ctx);
+    build_brute_force_range(sys, box, begin, end, cand_end, ctx);
   }
 }
 
@@ -130,7 +129,7 @@ void NeighborList::emit_rows(int begin, int end, const ComputeContext* ctx,
 }
 
 void NeighborList::build_brute_force_range(const System& sys, const Box& box,
-                                           int begin, int end,
+                                           int begin, int end, int cand_end,
                                            const ComputeContext* ctx) {
   const double rlist = cutoff_ + skin_;
   const double r2 = rlist * rlist;
@@ -142,7 +141,7 @@ void NeighborList::build_brute_force_range(const System& sys, const Box& box,
                   : 0;
   }
   emit_rows(begin, end, ctx, [&](int i, std::vector<Entry>& out) {
-    for (int j = begin; j < end; ++j) {
+    for (int j = begin; j < cand_end; ++j) {
       for (int sx = -span[0]; sx <= span[0]; ++sx) {
         for (int sy = -span[1]; sy <= span[1]; ++sy) {
           for (int sz = -span[2]; sz <= span[2]; ++sz) {
@@ -161,24 +160,41 @@ void NeighborList::build_brute_force_range(const System& sys, const Box& box,
 }
 
 void NeighborList::build_cells_range(const System& sys, const Box& box,
-                                     int begin, int end,
+                                     int begin, int end, int cand_end,
                                      const ComputeContext* ctx) {
   const double rlist = cutoff_ + skin_;
   const double r2 = rlist * rlist;
-  const int n = end - begin;
+  const int n = cand_end - begin;
+
+  // A periodic dimension bins [0, L) and reaches across its faces through
+  // image shifts; an open one bins the candidates' extent (owners plus any
+  // pre-shifted ghosts) and its stencil stops at the edge.
+  Vec3 origin{};
+  Vec3 extent = box.lengths();
+  for (int d = 0; d < 3; ++d) {
+    if (box.periodic(d) || n == 0) continue;
+    double lo = sys.x[begin][d];
+    double hi = lo;
+    for (int i = begin + 1; i < cand_end; ++i) {
+      lo = std::min(lo, sys.x[i][d]);
+      hi = std::max(hi, sys.x[i][d]);
+    }
+    origin[d] = lo - 1e-9;
+    extent[d] = hi - lo + 2e-9;
+  }
 
   int nc[3];
   for (int d = 0; d < 3; ++d) {
-    nc[d] = std::max(1, static_cast<int>(std::floor(box.length(d) / rlist)));
+    nc[d] = std::max(1, static_cast<int>(std::floor(extent[d] / rlist)));
   }
   const auto cell_of = [&](const Vec3& r, int out[3]) {
     for (int d = 0; d < 3; ++d) {
-      const int c = static_cast<int>(r[d] / box.length(d) * nc[d]);
+      const int c = static_cast<int>((r[d] - origin[d]) / extent[d] * nc[d]);
       out[d] = std::clamp(c, 0, nc[d] - 1);
     }
   };
 
-  // Bucket atoms of the range into cells (counting sort). Assigning cell
+  // Bucket the candidates into cells (counting sort). Assigning cell
   // indices is the FP-heavy part of binning and parallelizes over atoms;
   // the histogram + scatter stay serial (write conflicts).
   const int ncells = nc[0] * nc[1] * nc[2];
@@ -207,114 +223,44 @@ void NeighborList::build_cells_range(const System& sys, const Box& box,
   emit_rows(begin, end, ctx, [&](int i, std::vector<Entry>& out) {
     int ci[3];
     cell_of(sys.x[i], ci);
-    for (int dz = -1; dz <= 1; ++dz) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          int cj[3] = {ci[0] + dx, ci[1] + dy, ci[2] + dz};
-          Vec3 shift{};
-          bool skip = false;
-          for (int d = 0; d < 3; ++d) {
-            int wrapped = cj[d];
-            if (wrapped < 0 || wrapped >= nc[d]) {
-              if (!box.periodic(d)) {
-                skip = true;
-                break;
-              }
-              if (wrapped < 0) {
-                wrapped += nc[d];
-                shift[d] = -box.length(d);
-              } else {
-                wrapped -= nc[d];
-                shift[d] = box.length(d);
-              }
-            }
-            cj[d] = wrapped;
-          }
-          if (skip) continue;
-          const int cell = (cj[2] * nc[1] + cj[1]) * nc[0] + cj[0];
-          for (int s = count[cell]; s < count[cell + 1]; ++s) {
-            const int j = order[s];
-            if (j == i && shift.norm2() == 0.0) continue;
-            const Vec3 d = sys.x[j] + shift - sys.x[i];
-            if (d.norm2() < r2) out.push_back({j, shift});
+    // The row's stencil per dimension: the cell index and image shift of
+    // offsets -1, 0, +1, or cell -1 past the end of an open dimension.
+    int cell[3][3];
+    double image[3][3];
+    for (int d = 0; d < 3; ++d) {
+      for (int o = 0; o < 3; ++o) {
+        int c = ci[d] + o - 1;
+        double shift = 0.0;
+        if (c < 0 || c >= nc[d]) {
+          if (!box.periodic(d)) {
+            c = -1;
+          } else if (c < 0) {
+            c += nc[d];
+            shift = -box.length(d);
+          } else {
+            c -= nc[d];
+            shift = box.length(d);
           }
         }
+        cell[d][o] = c;
+        image[d][o] = shift;
       }
     }
-  });
-}
-
-void NeighborList::build_cells(const System& sys, const ComputeContext* ctx) {
-  const double rlist = cutoff_ + skin_;
-  const double r2 = rlist * rlist;
-  const int ntotal = sys.ntotal();
-
-  // Grid over the bounding box of all atoms (locals + pre-shifted
-  // ghosts), open stencil, no wrapping.
-  Vec3 lo = sys.x[0];
-  Vec3 hi = sys.x[0];
-  for (int i = 1; i < ntotal; ++i) {
-    for (int d = 0; d < 3; ++d) {
-      lo[d] = std::min(lo[d], sys.x[i][d]);
-      hi[d] = std::max(hi[d], sys.x[i][d]);
-    }
-  }
-  const Vec3 origin = lo - Vec3{1e-9, 1e-9, 1e-9};
-  const Vec3 extent = hi - lo + Vec3{2e-9, 2e-9, 2e-9};
-
-  int nc[3];
-  for (int d = 0; d < 3; ++d) {
-    nc[d] = std::max(1, static_cast<int>(std::floor(extent[d] / rlist)));
-  }
-  const auto cell_of = [&](const Vec3& r, int out[3]) {
-    for (int d = 0; d < 3; ++d) {
-      const int c = static_cast<int>((r[d] - origin[d]) / extent[d] * nc[d]);
-      out[d] = std::clamp(c, 0, nc[d] - 1);
-    }
-  };
-
-  const int ncells = nc[0] * nc[1] * nc[2];
-  std::vector<int> count(ncells + 1, 0);
-  std::vector<int> cell_idx(ntotal);
-  const auto assign_cells = [&](int /*tid*/, int b, int e) {
-    for (int i = b; i < e; ++i) {
-      int c[3];
-      cell_of(sys.x[i], c);
-      cell_idx[i] = (c[2] * nc[1] + c[1]) * nc[0] + c[0];
-    }
-  };
-  if (threaded(ctx)) {
-    ctx->pool().parallel_for(0, ntotal, 4096, assign_cells);
-  } else {
-    assign_cells(0, 0, ntotal);
-  }
-  for (int i = 0; i < ntotal; ++i) ++count[cell_idx[i] + 1];
-  for (int c = 0; c < ncells; ++c) count[c + 1] += count[c];
-  std::vector<int> order(ntotal);
-  {
-    std::vector<int> cursor(count.begin(), count.end() - 1);
-    for (int i = 0; i < ntotal; ++i) order[cursor[cell_idx[i]]++] = i;
-  }
-
-  emit_rows(0, sys.nlocal(), ctx, [&](int i, std::vector<Entry>& out) {
-    int ci[3];
-    cell_of(sys.x[i], ci);
-    for (int dz = -1; dz <= 1; ++dz) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int cx = ci[0] + dx;
-          const int cy = ci[1] + dy;
-          const int cz = ci[2] + dz;
-          if (cx < 0 || cx >= nc[0] || cy < 0 || cy >= nc[1] || cz < 0 ||
-              cz >= nc[2]) {
-            continue;
-          }
-          const int cell = (cz * nc[1] + cy) * nc[0] + cx;
-          for (int s = count[cell]; s < count[cell + 1]; ++s) {
+    for (int oz = 0; oz < 3; ++oz) {
+      if (cell[2][oz] < 0) continue;
+      for (int oy = 0; oy < 3; ++oy) {
+        if (cell[1][oy] < 0) continue;
+        for (int ox = 0; ox < 3; ++ox) {
+          if (cell[0][ox] < 0) continue;
+          const int c = (cell[2][oz] * nc[1] + cell[1][oy]) * nc[0] +
+                        cell[0][ox];
+          const Vec3 shift{image[0][ox], image[1][oy], image[2][oz]};
+          const bool unshifted = shift.norm2() == 0.0;
+          for (int s = count[c]; s < count[c + 1]; ++s) {
             const int j = order[s];
-            if (j == i) continue;
-            const Vec3 d = sys.x[j] - sys.x[i];
-            if (d.norm2() < r2) out.push_back({j, Vec3{}});
+            if (j == i && unshifted) continue;
+            const Vec3 d = sys.x[j] + shift - sys.x[i];
+            if (d.norm2() < r2) out.push_back({j, shift});
           }
         }
       }

@@ -40,10 +40,12 @@ class NeighborList {
   [[nodiscard]] double cutoff() const { return cutoff_; }
   [[nodiscard]] double skin() const { return skin_; }
 
-  // Rebuild the full list for all local atoms of sys. When use_ghosts is
-  // true, atoms beyond nlocal are treated as pre-shifted ghost copies and
-  // no periodic wrapping is applied (parallel path); otherwise neighbors
-  // are found through periodic images of the local atoms (serial path).
+  // Rebuild the full list for all local atoms of sys. Neighbors are found
+  // through periodic image shifts along the dimensions sys.box() marks
+  // periodic; an open dimension is searched over the atoms' extent with no
+  // wrap. When use_ghosts is true the atoms past nlocal (a parallel rank's
+  // pre-shifted ghost copies) are candidates too; it does not change how
+  // the list is built.
   void build(const System& sys, bool use_ghosts = false,
              const ComputeContext* ctx = nullptr);
 
@@ -82,15 +84,17 @@ class NeighborList {
   // Per-atom neighbor search: appends the row of atom i to `out`.
   using RowSearch = std::function<void(int i, std::vector<Entry>&)>;
 
-  void build_cells(const System& sys, const ComputeContext* ctx);
-  // Periodic build over the index range [begin, end) using `box`;
-  // appends CSR rows for those atoms (callers proceed in index order).
+  // Rows for the atoms [begin, end) over the candidates [begin, cand_end)
+  // using `box`; appends CSR rows for those atoms (callers proceed in index
+  // order). Bins into cells unless a periodic dimension is shorter than
+  // three list radii, which falls back to a search over all candidates.
   void build_periodic_range(const System& sys, const Box& box, int begin,
-                            int end, const ComputeContext* ctx);
+                            int end, int cand_end, const ComputeContext* ctx);
   void build_brute_force_range(const System& sys, const Box& box, int begin,
-                               int end, const ComputeContext* ctx);
+                               int end, int cand_end,
+                               const ComputeContext* ctx);
   void build_cells_range(const System& sys, const Box& box, int begin,
-                         int end, const ComputeContext* ctx);
+                         int end, int cand_end, const ComputeContext* ctx);
   // Run `search` for every atom of [begin, end) and stitch the rows into
   // first_/entries_ — serially, or over the context's pool.
   void emit_rows(int begin, int end, const ComputeContext* ctx,

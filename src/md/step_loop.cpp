@@ -47,7 +47,9 @@ void StepStages::build_neighbors(StepLoop& loop, bool initial) {
       sys.x[i] = sys.box().wrap(sys.x[i]);
     }
   }
-  loop.neighbor_list().build(sys, /*use_ghosts=*/false, &loop.context());
+  // A parallel rank's ghosts (pre-shifted copies across its split
+  // dimensions) are candidates too; a serial System holds none.
+  loop.neighbor_list().build(sys, /*use_ghosts=*/true, &loop.context());
 }
 
 void StepStages::forward_positions(StepLoop&) {}

@@ -74,8 +74,8 @@ struct IoPlan {
 };
 
 // Stage hooks a driver fills in. Defaults implement the serial
-// single-box pipeline: no communication, wrap-on-rebuild, ghost-free
-// list builds, single-System checkpoints.
+// single-box pipeline: no communication, wrap-on-rebuild list builds,
+// single-System checkpoints.
 class StepStages {
  public:
   virtual ~StepStages() = default;
@@ -98,7 +98,8 @@ class StepStages {
   // Neighbor-list rebuild, including any coordinate re-wrap that must
   // stay consistent with the list's shift vectors. Timed as Neigh. The
   // default wraps local positions (except at setup, where the caller's
-  // coordinates are taken as-is) and builds without ghosts.
+  // coordinates are taken as-is) and builds over owners and any ghosts;
+  // the serial and parallel drivers both use it.
   virtual void build_neighbors(StepLoop& loop, bool initial);
 
   // Forward owner positions into ghost copies on non-rebuild steps. Comm.

@@ -33,20 +33,27 @@ Domain::Domain(const md::Box& global_box, const RankGrid& grid, int rank)
     : global_(global_box), grid_(grid), rank_(rank) {
   EMBER_REQUIRE(rank >= 0 && rank < grid.size(), "rank outside the grid");
   const auto c = grid.coords_of(rank);
-  const int n[3] = {grid.nx, grid.ny, grid.nz};
   for (int d = 0; d < 3; ++d) {
-    const double w = global_.length(d) / n[d];
+    const double w = global_.length(d) / grid.n(d);
     lo_[d] = c[d] * w;
     hi_[d] = (c[d] + 1) * w;
   }
 }
 
+md::Box Domain::rank_box() const {
+  std::array<bool, 3> periodic{};
+  for (int d = 0; d < 3; ++d) {
+    periodic[d] = global_.periodic(d) && grid_.n(d) == 1;
+  }
+  return md::Box(global_.length(0), global_.length(1), global_.length(2),
+                 periodic);
+}
+
 int Domain::owner_of(const Vec3& pos) const {
-  const int n[3] = {grid_.nx, grid_.ny, grid_.nz};
   int c[3];
   for (int d = 0; d < 3; ++d) {
-    const double w = global_.length(d) / n[d];
-    c[d] = std::clamp(static_cast<int>(pos[d] / w), 0, n[d] - 1);
+    const double w = global_.length(d) / grid_.n(d);
+    c[d] = std::clamp(static_cast<int>(pos[d] / w), 0, grid_.n(d) - 1);
   }
   return grid_.rank_of(c[0], c[1], c[2]);
 }

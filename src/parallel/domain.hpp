@@ -19,6 +19,8 @@ struct RankGrid {
   int nx = 1, ny = 1, nz = 1;
 
   [[nodiscard]] int size() const { return nx * ny * nz; }
+  // Ranks along dimension d.
+  [[nodiscard]] int n(int d) const { return d == 0 ? nx : d == 1 ? ny : nz; }
 
   // Factorization of nranks minimizing the total halo surface for a box
   // with the given aspect ratio (defaults to cubic).
@@ -45,6 +47,11 @@ class Domain {
   [[nodiscard]] Vec3 lo() const { return lo_; }
   [[nodiscard]] Vec3 hi() const { return hi_; }
   [[nodiscard]] Vec3 lengths() const { return hi_ - lo_; }
+
+  // The box a rank's atoms live in: the global lengths, periodic exactly
+  // where the global box is and the grid does not split. A split
+  // dimension is reached through ghost copies instead of image shifts.
+  [[nodiscard]] md::Box rank_box() const;
 
   // Owner rank of a position already wrapped into the global box.
   [[nodiscard]] int owner_of(const Vec3& pos) const;

@@ -39,13 +39,35 @@ ParallelSimulation::ParallelSimulation(comm::Transport& comm,
       domain_(global.box(),
               RankGrid::choose(comm.size(), global.box().lengths()),
               comm.rank()),
-      loop_(md::System(global.box(), global.mass()), std::move(pot), dt_ps,
-            skin, Rng(seed).split(static_cast<std::uint64_t>(comm.rank())),
-            policy, *this) {
+      loop_(md::System(domain_.rank_box(), global.mass()), std::move(pot),
+            dt_ps, skin,
+            Rng(seed).split(static_cast<std::uint64_t>(comm.rank())), policy,
+            *this) {
+  // Two halo legs per dimension the grid splits; an unsplit dimension is
+  // this rank's whole periodic extent, reached through image shifts.
   const double rghost = loop_.potential().cutoff() + skin;
-  const Vec3 sub = domain_.lengths();
-  EMBER_REQUIRE(sub.x >= rghost && sub.y >= rghost && sub.z >= rghost,
-                "sub-domain smaller than the ghost cutoff; use fewer ranks");
+  const RankGrid& grid = domain_.grid();
+  const auto coords = grid.coords_of(comm.rank());
+  for (int d = 0; d < 3; ++d) {
+    if (grid.n(d) == 1) continue;
+    EMBER_REQUIRE(domain_.lengths()[d] >= rghost,
+                  "sub-domain smaller than the ghost cutoff; use fewer ranks");
+    for (const int step : {1, -1}) {  // up (+), then down (-)
+      Leg leg;
+      leg.dim = d;
+      leg.up = step > 0;
+      auto to = coords;
+      to[d] += step;
+      auto from = coords;
+      from[d] -= step;
+      leg.send_to = grid.rank_of(to[0], to[1], to[2]);
+      leg.recv_from = grid.rank_of(from[0], from[1], from[2]);
+      if (to[d] < 0 || to[d] >= grid.n(d)) {  // across the periodic edge
+        leg.send_shift[d] = -step * global_box_.length(d);
+      }
+      legs_.push_back(std::move(leg));
+    }
+  }
   scatter(global);
 }
 
@@ -81,7 +103,7 @@ void ParallelSimulation::migrate() {
   }
 
   // Compact the kept atoms.
-  md::System next(global_box_, sys.mass());
+  md::System next(sys.box(), sys.mass());
   for (const int i : keep) {
     next.add_atom(sys.x[i], sys.v[i]);
     next.id[next.nlocal() - 1] = sys.id[i];
@@ -106,53 +128,36 @@ void ParallelSimulation::exchange_ghosts() {
   sys.clear_ghosts();
   const double rghost =
       loop_.potential().cutoff() + loop_.neighbor_list().skin();
-  const auto coords = domain_.grid().coords_of(comm_.rank());
-  const int n[3] = {domain_.grid().nx, domain_.grid().ny, domain_.grid().nz};
 
-  for (int d = 0; d < 3; ++d) {
-    // Both legs of dimension d scan only atoms that existed before this
-    // dimension: scanning ghosts received by the opposite leg of the SAME
-    // dimension would bounce them straight back as duplicate self-images.
-    // Ghosts from previous dimensions ARE scanned (corner propagation).
-    const int scan_limit = sys.ntotal();
-    for (int dir = 0; dir < 2; ++dir) {  // 0 = up (+), 1 = down (-)
-      Leg& leg = legs_[2 * d + dir];
-      leg.send_idx.clear();
-      int up[3] = {coords[0], coords[1], coords[2]};
-      up[d] += (dir == 0) ? 1 : -1;
-      leg.send_to = domain_.grid().rank_of(up[0], up[1], up[2]);
-      int dn[3] = {coords[0], coords[1], coords[2]};
-      dn[d] -= (dir == 0) ? 1 : -1;
-      leg.recv_from = domain_.grid().rank_of(dn[0], dn[1], dn[2]);
+  int scan_limit = 0;
+  std::vector<PackedGhost> packed;
+  for (std::size_t l = 0; l < legs_.size(); ++l) {
+    Leg& leg = legs_[l];
+    // Both legs of a dimension scan only atoms that existed before it:
+    // scanning ghosts received by the opposite leg of the SAME dimension
+    // would bounce them straight back as duplicate self-images. Ghosts
+    // from earlier dimensions ARE scanned (corner propagation).
+    if (leg.up) scan_limit = sys.ntotal();
+    const int d = leg.dim;
+    const double face = leg.up ? domain_.hi()[d] : domain_.lo()[d];
+    leg.send_idx.clear();
+    packed.clear();
+    for (int i = 0; i < scan_limit; ++i) {
+      const double c = sys.x[i][d];
+      const bool in_slab = leg.up ? (c >= face - rghost) : (c < face + rghost);
+      if (!in_slab) continue;
+      leg.send_idx.push_back(i);
+      const Vec3 p = sys.x[i] + leg.send_shift;
+      packed.push_back({p.x, p.y, p.z, sys.id[i]});
+    }
+    const int tag = kTagGhost + static_cast<int>(l);
+    comm_.send(leg.send_to, tag, packed);
 
-      const double face = (dir == 0) ? domain_.hi()[d] : domain_.lo()[d];
-      const bool at_edge =
-          (dir == 0) ? coords[d] == n[d] - 1 : coords[d] == 0;
-      leg.send_shift = Vec3{};
-      if (at_edge) {
-        leg.send_shift[d] =
-            (dir == 0) ? -global_box_.length(d) : global_box_.length(d);
-      }
-
-      std::vector<PackedGhost> packed;
-      for (int i = 0; i < scan_limit; ++i) {
-        const double c = sys.x[i][d];
-        const bool in_slab =
-            (dir == 0) ? (c >= face - rghost) : (c < face + rghost);
-        if (!in_slab) continue;
-        leg.send_idx.push_back(i);
-        const Vec3 p = sys.x[i] + leg.send_shift;
-        packed.push_back({p.x, p.y, p.z, sys.id[i]});
-      }
-      comm_.send(leg.send_to, kTagGhost + 2 * d + dir, packed);
-
-      const auto incoming =
-          comm_.recv<PackedGhost>(leg.recv_from, kTagGhost + 2 * d + dir);
-      leg.ghost_begin = sys.ntotal();
-      leg.ghost_count = static_cast<int>(incoming.size());
-      for (const auto& g : incoming) {
-        sys.add_ghost({g.x, g.y, g.z}, g.id);
-      }
+    const auto incoming = comm_.recv<PackedGhost>(leg.recv_from, tag);
+    leg.ghost_begin = sys.ntotal();
+    leg.ghost_count = static_cast<int>(incoming.size());
+    for (const auto& g : incoming) {
+      sys.add_ghost({g.x, g.y, g.z}, g.id);
     }
   }
 }
@@ -173,26 +178,20 @@ void ParallelSimulation::exchange(md::StepLoop&, bool /*initial*/) {
   exchange_ghosts();
 }
 
-void ParallelSimulation::build_neighbors(md::StepLoop& loop,
-                                         bool /*initial*/) {
-  // Migration already wrapped the owners; ghosts carry explicit shifts.
-  loop.neighbor_list().build(loop.system(), /*use_ghosts=*/true,
-                             &loop.context());
-}
-
 void ParallelSimulation::forward_positions(md::StepLoop& loop) {
   const obs::ScopedSpan span("comm.forward", "comm");
   md::System& sys = loop.system();
   std::vector<Vec3> packed;
-  for (int leg_idx = 0; leg_idx < 6; ++leg_idx) {
-    const Leg& leg = legs_[leg_idx];
+  for (std::size_t l = 0; l < legs_.size(); ++l) {
+    const Leg& leg = legs_[l];
+    const int tag = kTagForward + static_cast<int>(l);
     packed.clear();
     packed.reserve(leg.send_idx.size());
     for (const int i : leg.send_idx) {
       packed.push_back(sys.x[i] + leg.send_shift);
     }
-    comm_.send(leg.send_to, kTagForward + leg_idx, packed);
-    const auto incoming = comm_.recv<Vec3>(leg.recv_from, kTagForward + leg_idx);
+    comm_.send(leg.send_to, tag, packed);
+    const auto incoming = comm_.recv<Vec3>(leg.recv_from, tag);
     EMBER_REQUIRE(static_cast<int>(incoming.size()) == leg.ghost_count,
                   "forward communication size drift");
     for (int g = 0; g < leg.ghost_count; ++g) {
@@ -205,12 +204,13 @@ void ParallelSimulation::reverse_forces(md::StepLoop& loop) {
   const obs::ScopedSpan span("comm.reverse", "comm");
   md::System& sys = loop.system();
   std::vector<Vec3> packed;
-  for (int leg_idx = 5; leg_idx >= 0; --leg_idx) {
-    const Leg& leg = legs_[leg_idx];
+  for (std::size_t l = legs_.size(); l-- > 0;) {
+    const Leg& leg = legs_[l];
+    const int tag = kTagReverse + static_cast<int>(l);
     packed.assign(sys.f.begin() + leg.ghost_begin,
                   sys.f.begin() + leg.ghost_begin + leg.ghost_count);
-    comm_.send(leg.recv_from, kTagReverse + leg_idx, packed);
-    const auto incoming = comm_.recv<Vec3>(leg.send_to, kTagReverse + leg_idx);
+    comm_.send(leg.recv_from, tag, packed);
+    const auto incoming = comm_.recv<Vec3>(leg.send_to, tag);
     EMBER_REQUIRE(incoming.size() == leg.send_idx.size(),
                   "reverse communication size drift");
     for (std::size_t m = 0; m < incoming.size(); ++m) {
@@ -221,11 +221,12 @@ void ParallelSimulation::reverse_forces(md::StepLoop& loop) {
 
 void ParallelSimulation::verify_exchange(md::StepLoop& loop, bool /*initial*/) {
   const md::System& sys = loop.system();
-  std::array<int, 6> leg_counts{};
-  for (std::size_t l = 0; l < legs_.size(); ++l) {
-    leg_counts[l] = legs_[l].ghost_count;
+  std::vector<check::GhostLeg> legs;
+  for (const Leg& leg : legs_) {
+    legs.push_back({leg.send_to, leg.recv_from, leg.ghost_count});
   }
-  check::check_ghost_legs(leg_counts, sys.nghost(), "exchange", loop.step());
+  check::check_ghost_legs(legs, comm_.rank(), sys.nghost(), "exchange",
+                          loop.step());
   // Collective: every rank contributes its owner count; the baseline is
   // captured by the first checked exchange after the scatter.
   const long global = comm_.allreduce_sum(static_cast<long>(sys.nlocal()));

@@ -7,18 +7,24 @@
 // the communication stages:
 //   check_rebuild     -> allreduce of the displacement criterion   [Comm]
 //   exchange          -> wrap + migrate atoms to their owners,
-//                        rebuild the ghost halo (6-direction sweep
-//                        with corner propagation)                  [Comm]
-//   build_neighbors   -> local list over owners + ghosts           [Neigh]
+//                        rebuild the ghost halo (an up and a down
+//                        leg per split dimension, with corner
+//                        propagation)                              [Comm]
+//   build_neighbors   -> the serial stage: owners + ghosts         [Neigh]
 //   forward_positions -> owner positions into ghost copies         [Comm]
 //   reverse_forces    -> ghost forces back onto their owners       [Comm]
 //   write_checkpoint  -> gather-on-root, rank 0 writes             (collective)
+//
+// Ghosts exist only across rank boundaries. A rank's System lives in
+// Domain::rank_box(), periodic in every dimension the grid does not split:
+// the neighbor list reaches those images through shifts, and those
+// dimensions have no halo legs. A 1-rank run holds no ghosts and steps
+// bit for bit like md::Simulation.
 //
 // Timing uses the unified Pair / Neigh / Comm / Other taxonomy; the
 // paper's Fig. 4 labels ("SNAP", "MPI Comm") are applied in the bench
 // layer via md::fig4_label.
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -102,7 +108,6 @@ class ParallelSimulation : private md::StepStages {
   [[nodiscard]] bool communicates() const override { return true; }
   [[nodiscard]] bool check_rebuild(md::StepLoop& loop) override;
   void exchange(md::StepLoop& loop, bool initial) override;
-  void build_neighbors(md::StepLoop& loop, bool initial) override;
   void forward_positions(md::StepLoop& loop) override;
   void reverse_forces(md::StepLoop& loop) override;
   void dump(md::StepLoop& loop, const md::IoPlan& plan,
@@ -126,18 +131,21 @@ class ParallelSimulation : private md::StepStages {
   Domain domain_;
   md::StepLoop loop_;
 
-  // Halo bookkeeping: for each of the 6 sweep legs (dim-major, up then
-  // down), the indices of the atoms sent (local or ghost), the partner
-  // ranks, the position shift applied, and the ghost range received.
+  // Halo legs, two per dimension the grid splits (dim-major, up then
+  // down). The partners and the position shift are fixed by the grid;
+  // each exchange refills the atoms sent (local or ghost) and the ghost
+  // range received.
   struct Leg {
+    int dim = 0;
+    bool up = true;
     int send_to = -1;
     int recv_from = -1;
-    std::vector<int> send_idx;
     Vec3 send_shift{};
+    std::vector<int> send_idx;
     int ghost_begin = 0;
     int ghost_count = 0;
   };
-  std::array<Leg, 6> legs_;
+  std::vector<Leg> legs_;
 
   // Global atom count captured by the first checked exchange (collective,
   // so every rank settles on the same baseline); -1 = not yet captured.

@@ -157,14 +157,34 @@ TEST(CheckGhosts, SerialSystemHasNone) {
 }
 
 TEST(CheckGhosts, LegBookkeepingMustMatchHalo) {
-  const int legs_ok[6] = {3, 2, 0, 0, 1, 0};
-  EXPECT_NO_THROW(check_ghost_legs(legs_ok, 6, "exchange", 0));
-  const int legs_bad[6] = {3, 2, 0, 0, 1, 1};  // claims 7, system holds 6
-  EXPECT_THROW(check_ghost_legs(legs_bad, 6, "exchange", 0),
+  // Rank 1 of a 2 x 2 grid: the x legs talk to rank 0, the y legs to 3.
+  const GhostLeg legs_ok[4] = {{0, 0, 3}, {0, 0, 2}, {3, 3, 1}, {3, 3, 0}};
+  EXPECT_NO_THROW(check_ghost_legs(legs_ok, 1, 6, "exchange", 0));
+  const GhostLeg legs_bad[4] = {{0, 0, 3}, {0, 0, 2}, {3, 3, 1}, {3, 3, 1}};
+  // claims 7, system holds 6
+  EXPECT_THROW(check_ghost_legs(legs_bad, 1, 6, "exchange", 0),
                InvariantViolation);
-  const int legs_neg[6] = {3, -1, 0, 0, 1, 0};
-  EXPECT_THROW(check_ghost_legs(legs_neg, 3, "exchange", 0),
+  const GhostLeg legs_neg[4] = {{0, 0, 3}, {0, 0, -1}, {3, 3, 1}, {3, 3, 0}};
+  EXPECT_THROW(check_ghost_legs(legs_neg, 1, 3, "exchange", 0),
                InvariantViolation);
+}
+
+TEST(CheckGhosts, LegToTheSendingRankIsRejected) {
+  // A dimension one rank holds has no legs: its images are shifts, so a
+  // leg that sends to (or receives from) its own rank is a bookkeeping bug
+  // even when the counts add up.
+  const GhostLeg self_send[2] = {{1, 0, 2}, {0, 0, 1}};
+  try {
+    check_ghost_legs(self_send, 1, 3, "exchange", 4);
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("itself"), std::string::npos);
+  }
+  const GhostLeg self_recv[2] = {{0, 0, 2}, {0, 1, 1}};
+  EXPECT_THROW(check_ghost_legs(self_recv, 1, 3, "exchange", 0),
+               InvariantViolation);
+  EXPECT_NO_THROW(check_ghost_legs(std::span<const GhostLeg>{}, 0, 0,
+                                   "exchange", 0));
 }
 
 TEST(CheckConservation, MismatchedAtomCountThrows) {

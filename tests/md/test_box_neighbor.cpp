@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
@@ -80,6 +82,48 @@ TEST(NeighborList, SmallBoxFallsBackToImages) {
   for (int i = 0; i < sys.nlocal(); ++i) {
     EXPECT_EQ(static_cast<int>(nl.neighbors(i).size()),
               brute_count(sys, i, 2.4));
+  }
+}
+
+TEST(NeighborList, GhostsAcrossAnOpenDimensionMatchPeriodicImages) {
+  // A parallel rank's view of the box: x is open and reached through
+  // pre-shifted ghost copies, y and z are periodic and reached through
+  // image shifts. The list must hold exactly the displacements of the
+  // fully periodic build, on the cell path (long y, z) and on the
+  // brute-force path (y, z shorter than three list radii).
+  const std::pair<Vec3, double> cases[] = {{{14.0, 15.0, 16.0}, 3.5},
+                                           {{14.0, 6.0, 6.0}, 2.4}};
+  for (const auto& [len, rcut] : cases) {
+    Rng rng(5);
+    const System whole =
+        random_packing(Box(len.x, len.y, len.z), 60, 1.0, 12.011, rng);
+    NeighborList ref(rcut, 0.0);
+    ref.build(whole);
+
+    System sys(Box(len.x, len.y, len.z, {false, true, true}), 12.011);
+    for (int i = 0; i < whole.nlocal(); ++i) sys.add_atom(whole.x[i]);
+    for (int i = 0; i < whole.nlocal(); ++i) {
+      for (const double s : {-len.x, len.x}) {
+        const Vec3 g = whole.x[i] + Vec3{s, 0.0, 0.0};
+        if (g.x > -rcut && g.x < len.x + rcut) sys.add_ghost(g, i);
+      }
+    }
+    NeighborList nl(rcut, 0.0);
+    nl.build(sys, /*use_ghosts=*/true);
+    for (int i = 0; i < sys.nlocal(); ++i) {
+      const auto want = ref.neighbors(i);
+      const auto got = nl.neighbors(i);
+      ASSERT_EQ(got.size(), want.size()) << "atom " << i << " box y " << len.y;
+      for (const auto& en : got) {
+        const Vec3 d = sys.x[en.j] + en.shift - sys.x[i];
+        EXPECT_EQ(en.shift.x, 0.0) << "x is open: no image shift";
+        const bool found = std::any_of(want.begin(), want.end(), [&](auto& w) {
+          const Vec3 dw = whole.x[w.j] + w.shift - whole.x[i];
+          return w.j == sys.id[en.j] && (d - dw).norm() < 1e-9;
+        });
+        EXPECT_TRUE(found) << "atom " << i << " lists id " << sys.id[en.j];
+      }
+    }
   }
 }
 

@@ -108,21 +108,39 @@ TEST(AsymmetricGrid, NonCubicBoxGetsMatchingDecomposition) {
 }
 
 TEST(Halo, GhostCountMatchesShellEstimate) {
-  // For a homogeneous crystal the ghost count per rank should be close to
-  // the analytic shell estimate rho * ((L+2g)^3 - L^3) for its sub-domain.
+  // Ghosts exist only across rank boundaries. Two ranks split one
+  // dimension, so in a homogeneous crystal each rank's ghosts are close to
+  // that dimension's two slabs, rho * 2g * (cross-section); the unsplit
+  // dimensions are reached through periodic image shifts.
   md::System global = make_argon(4, 4, 4, 0.0, 1);
   const double rho = global.nlocal() / global.box().volume();
 
-  comm::test::make(comm::TransportKind::Thread, 8)
+  comm::test::make(comm::TransportKind::Thread, 2)
       ->run([&](comm::Transport& c) {
     ParallelSimulation psim(c, global, lj(), 0.002, 0.5, 1);
     psim.setup();
+    const RankGrid& grid = psim.domain().grid();
+    int split = -1;
+    for (int d = 0; d < 3; ++d) {
+      if (grid.n(d) > 1) {
+        EXPECT_EQ(split, -1) << "2 ranks split more than one dimension";
+        split = d;
+      }
+    }
+    ASSERT_GE(split, 0);
     const Vec3 sub = psim.domain().lengths();
     const double g = 7.0;  // rcut + skin
-    const double expected =
-        rho * ((sub.x + 2 * g) * (sub.y + 2 * g) * (sub.z + 2 * g) -
-               sub.x * sub.y * sub.z);
+    const double cross = sub.x * sub.y * sub.z / sub[split];
+    const double expected = rho * 2 * g * cross;
     EXPECT_NEAR(psim.local().nghost(), expected, 0.35 * expected);
+
+    // Every step, only the split dimension's up and down legs forward
+    // positions and reverse forces: four messages per rank. The 0 K
+    // crystal never rebuilds, so no migration or ghost messages join them.
+    constexpr int kSteps = 10;
+    const std::uint64_t before = c.traffic().messages;
+    psim.run(kSteps);
+    EXPECT_EQ(c.traffic().messages - before, 4U * kSteps);
   });
 }
 

@@ -148,6 +148,38 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4, 8)),
     comm::test::kind_size_name);
 
+class SingleRank : public ::testing::TestWithParam<comm::TransportKind> {};
+
+TEST_P(SingleRank, NveIsBitwiseEqualToSerial) {
+  // One rank holds the whole periodic box: no ghosts, no halo legs and the
+  // serial neighbor build, so NVE steps bit for bit like md::Simulation.
+  md::System global = make_argon(4, 60.0, 19);
+
+  md::Simulation serial(global, make_lj(), 0.002, 0.5, 19);
+  serial.run(120);
+  const md::System& s = serial.system();
+
+  comm::test::make(GetParam(), 1)->run([&](comm::Transport& c) {
+    ParallelSimulation psim(c, global, make_lj(), 0.002, 0.5, 19);
+    psim.run(120);
+    const md::System& p = psim.local();
+    EXPECT_EQ(p.nghost(), 0);
+    ASSERT_EQ(p.nlocal(), s.nlocal());
+    for (int i = 0; i < p.nlocal(); ++i) {
+      const auto k = static_cast<std::size_t>(p.id[i]);
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_EQ(p.x[i][d], s.x[k][d]) << "x of atom " << k << " dim " << d;
+        EXPECT_EQ(p.v[i][d], s.v[k][d]) << "v of atom " << k << " dim " << d;
+        EXPECT_EQ(p.f[i][d], s.f[k][d]) << "f of atom " << k << " dim " << d;
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, SingleRank,
+                         ::testing::ValuesIn(comm::test::kBothKinds),
+                         comm::test::kind_name);
+
 TEST(ParallelSnap, EnergyAndForcesMatchSerial) {
   // SNAP is the paper's potential: validate the many-body force path
   // (including reverse ghost-force communication) against serial.
