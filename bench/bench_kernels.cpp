@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "snap/bispectrum.hpp"
 #include "snap/testsnap.hpp"
@@ -57,16 +58,45 @@ void BM_ComputeZi(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeZi)->Arg(4)->Arg(8)->Arg(14);
 
+// Per-atom API: one atom on lane 0 of the yi kernel, the other lanes'
+// coefficients zero (the trainer's and the tests' entry point).
 void BM_ComputeYi(benchmark::State& state) {
   const auto w = make_workload(static_cast<int>(state.range(0)));
   Bispectrum bi(w.params);
   bi.compute_ui(w.rij, {});
   for (auto _ : state) {
     bi.compute_yi(w.beta);
-    benchmark::DoNotOptimize(bi.ylist().data());
+    benchmark::DoNotOptimize(&bi);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ComputeYi)->Arg(4)->Arg(8)->Arg(14);
+
+// The production yi stage: one yi_block over a full block of atoms, one
+// per lane of the dispatched table (EMBER_SIMD lowers it). Items are
+// atoms, so 1 / items_per_second is the per-atom yi time to set against
+// BM_ComputeYi.
+void BM_YiBlock(benchmark::State& state) {
+  const auto w = make_workload(static_cast<int>(state.range(0)));
+  Bispectrum bi(w.params);
+  const int lanes = bi.lane_width();
+  const auto& triples = bi.index().z_triples();
+  aligned_vector<double> coeff(triples.size() * lanes);
+  for (int l = 0; l < lanes; ++l) {
+    bi.compute_ui(w.rij, {}, l);
+    for (std::size_t t = 0; t < triples.size(); ++t) {
+      coeff[t * lanes + l] = w.beta[triples[t].idxb] * triples[t].beta_scale;
+    }
+  }
+  for (auto _ : state) {
+    bi.compute_yi_block(coeff);
+    benchmark::DoNotOptimize(&bi);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * lanes);
+  state.counters["lanes"] = lanes;
+}
+BENCHMARK(BM_YiBlock)->Arg(8)->Arg(14);
 
 // Whole-atom force evaluation, Listing 5 vs Listing 1. The adjoint row
 // runs the stage sequence SnapPotential runs, on the dispatched kernel

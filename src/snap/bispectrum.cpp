@@ -10,7 +10,13 @@
 namespace ember::snap {
 
 Bispectrum::Bispectrum(const SnapParams& params)
-    : params_(params), idx_(params.twojmax) {
+    : params_(params),
+      idx_(std::make_shared<const SnapIndex>(params.twojmax)),
+      // Resolve the kernel table once per instance: CPUID capability
+      // clamped by EMBER_SIMD (non-x86 builds and EMBER_SIMD=scalar get
+      // width 1).
+      simd_isa_(simd::choose_isa()),
+      simd_ops_(&simd::ops_for(simd_isa_)) {
   const int tj = params_.twojmax;
   EMBER_REQUIRE(params_.rcut > params_.rmin0, "rcut must exceed rmin0");
 
@@ -21,24 +27,51 @@ Bispectrum::Bispectrum(const SnapParams& params)
           std::sqrt(static_cast<double>(p) / q);
     }
   }
+  allocate();
 
-  utot_.resize(idx_.u_total());
-  zlist_.resize(idx_.z_total());
-  ylist_.resize(idx_.u_total());
-  blist_.resize(idx_.num_b());
+  // bzero: bispectrum of an isolated atom (self term only), obtained by
+  // running the kernel itself on an empty neighbor set. compute_bi_impl
+  // takes the subtraction choice explicitly, so the raw values are
+  // measured without mutating params_.
+  bzero_.assign(idx_->num_b(), 0.0);
+  if (params_.bzero_flag) {
+    compute_ui({}, {});
+    compute_zi();
+    compute_bi_impl(/*subtract_bzero=*/false);
+    bzero_.assign(blist_.begin(), blist_.end());
+  }
+}
 
-  // Resolve the kernel table once per instance: CPUID capability clamped
-  // by EMBER_SIMD (non-x86 builds and EMBER_SIMD=scalar get width 1).
-  simd_isa_ = simd::choose_isa();
-  simd_ops_ = &simd::ops_for(simd_isa_);
+Bispectrum::Bispectrum(const Bispectrum& proto, SiblingTag)
+    : params_(proto.params_),
+      idx_(proto.idx_),
+      rootpq_(proto.rootpq_),
+      bzero_(proto.bzero_),
+      simd_isa_(proto.simd_isa_),
+      simd_ops_(proto.simd_ops_) {
+  allocate();
+}
 
-  const int nh = idx_.u_half_total();
+Bispectrum Bispectrum::sibling() const { return {*this, SiblingTag{}}; }
+
+void Bispectrum::allocate() {
+  utot_.resize(idx_->u_total());
+  zlist_.resize(idx_->z_total());
+  blist_.resize(idx_->num_b());
+
+  const int nh = idx_->u_half_total();
   utot_half_re_.resize(nh);
   utot_half_im_.resize(nh);
   y_half_re_.resize(nh);
   y_half_im_.resize(nh);
 
   const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
+  lanes_.resize(w);
+  lane_u_re_.assign(static_cast<std::size_t>(idx_->u_total()) * w, 0.0);
+  lane_u_im_.assign(static_cast<std::size_t>(idx_->u_total()) * w, 0.0);
+  lane_y_re_.assign(static_cast<std::size_t>(nh) * w, 0.0);
+  lane_y_im_.assign(static_cast<std::size_t>(nh) * w, 0.0);
+  yi_coeff_.assign(idx_->z_triples().size() * w, 0.0);
   simd_ck_.resize(static_cast<std::size_t>(simd::kCkSlots) * w);
   simd_wfc_.resize(w);
   simd_acc_re_.resize(static_cast<std::size_t>(nh) * w);
@@ -48,25 +81,13 @@ Bispectrum::Bispectrum(const SnapParams& params)
     simd_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
   }
   simd_out_.resize(3 * w);
-
-  // bzero: bispectrum of an isolated atom (self term only), obtained by
-  // running the kernel itself on an empty neighbor set. compute_bi_impl
-  // takes the subtraction choice explicitly, so the raw values are
-  // measured without mutating params_.
-  bzero_.assign(idx_.num_b(), 0.0);
-  if (params_.bzero_flag) {
-    compute_ui({}, {});
-    compute_zi();
-    compute_bi_impl(/*subtract_bzero=*/false);
-    bzero_.assign(blist_.begin(), blist_.end());
-  }
 }
 
 void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
                                      std::vector<Cplx>& full) const {
   for (int j = 0; j <= params_.twojmax; ++j) {
-    const int blk = idx_.u_block(j);
-    const int hblk = idx_.u_half_block(j);
+    const int blk = idx_->u_block(j);
+    const int hblk = idx_->u_half_block(j);
     const int cs = j + 1;
     const int hs = j / 2 + 1;
     for (int ma = 0; ma <= j; ++ma) {
@@ -83,12 +104,13 @@ void Bispectrum::mirror_half_to_full(const double* hre, const double* him,
   }
 }
 
-void Bispectrum::pack_ck_lane(int k0, int lane, int width) {
+void Bispectrum::pack_ck_lane(const LaneCache& lc, int k0, int lane,
+                              int width) {
   // Padded lanes repeat the last active neighbor's mapping: the recursion
   // stays finite and the zeroed weight slots erase their contributions.
-  const bool active = k0 + lane < nnbor_cached_;
-  const int k = active ? k0 + lane : nnbor_cached_ - 1;
-  const CayleyKlein& ck = ck_cache_[k];
+  const bool active = k0 + lane < lc.nnbor;
+  const int k = active ? k0 + lane : lc.nnbor - 1;
+  const CayleyKlein& ck = lc.ck[k];
   double* s = simd_ck_.data();
   s[simd::kCkARe * width + lane] = ck.a.re;
   s[simd::kCkAIm * width + lane] = ck.a.im;
@@ -102,43 +124,45 @@ void Bispectrum::pack_ck_lane(int k0, int lane, int width) {
     s[(simd::kCkDfc0 + d) * width + lane] = ck.dfc[d];
   }
   s[simd::kCkFc * width + lane] = ck.fc;
-  s[simd::kCkW * width + lane] = active ? wj_cache_[k] : 0.0;
-  simd_wfc_[lane] = active ? wj_cache_[k] * ck.fc : 0.0;
+  s[simd::kCkW * width + lane] = active ? lc.wj[k] : 0.0;
+  simd_wfc_[lane] = active ? lc.wj[k] * ck.fc : 0.0;
 }
 
 void Bispectrum::compute_ui(std::span<const Vec3> rij,
-                            std::span<const double> wj) {
+                            std::span<const double> wj, int lane) {
   EMBER_REQUIRE(wj.empty() || wj.size() == rij.size(),
                 "weight array size mismatch");
+  require_lane(lane);
   have_z_ = false;
-  const int nh = idx_.u_half_total();
+  const int nh = idx_->u_half_total();
   const int nn = static_cast<int>(rij.size());
   const int w = simd_ops_->width;
   const std::size_t plane = static_cast<std::size_t>(nh) * w;
-  nnbor_cached_ = nn;
-  ck_cache_.resize(nn);
-  wj_cache_.resize(nn);
+  LaneCache& lc = lanes_[lane];
+  lc.nnbor = nn;
+  lc.ck.resize(nn);
+  lc.wj.resize(nn);
   const int nblk = (nn + w - 1) / w;
-  ucache_re_.resize(static_cast<std::size_t>(nblk) * plane);
-  ucache_im_.resize(static_cast<std::size_t>(nblk) * plane);
+  lc.ure.resize(static_cast<std::size_t>(nblk) * plane);
+  lc.uim.resize(static_cast<std::size_t>(nblk) * plane);
   std::fill(simd_acc_re_.begin(), simd_acc_re_.end(), 0.0);
   std::fill(simd_acc_im_.begin(), simd_acc_im_.end(), 0.0);
   EMBER_CHECK(EMBER_REQUIRE(
-      is_aligned(ucache_re_.data()) && is_aligned(ucache_im_.data()) &&
+      is_aligned(lc.ure.data()) && is_aligned(lc.uim.data()) &&
           is_aligned(simd_acc_re_.data()) && is_aligned(simd_acc_im_.data()),
       "SNAP SIMD planes must be 64-byte aligned"));
 
   for (int k = 0; k < nn; ++k) {
-    ck_cache_[k] = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
-                                 params_.rmin0, params_.switch_flag);
-    wj_cache_[k] = wj.empty() ? 1.0 : wj[k];
+    lc.ck[k] = map_to_sphere(rij[k], params_.rcut, params_.rfac0,
+                             params_.rmin0, params_.switch_flag);
+    lc.wj[k] = wj.empty() ? 1.0 : wj[k];
   }
 
   for (int b = 0; b < nblk; ++b) {
-    for (int lane = 0; lane < w; ++lane) pack_ck_lane(b * w, lane, w);
+    for (int l = 0; l < w; ++l) pack_ck_lane(lc, b * w, l, w);
     simd::UiBlockArgs args;
     args.twojmax = params_.twojmax;
-    args.half_block = idx_.u_half_block_data();
+    args.half_block = idx_->u_half_block_data();
     args.nh = nh;
     args.rootpq = rootpq_.data();
     args.a_re = simd_ck_.data() + simd::kCkARe * w;
@@ -146,8 +170,8 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
     args.b_re = simd_ck_.data() + simd::kCkBRe * w;
     args.b_im = simd_ck_.data() + simd::kCkBIm * w;
     args.wfc = simd_wfc_.data();
-    args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
-    args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
+    args.ur = lc.ure.data() + static_cast<std::size_t>(b) * plane;
+    args.ui = lc.uim.data() + static_cast<std::size_t>(b) * plane;
     args.acc_re = simd_acc_re_.data();
     args.acc_im = simd_acc_im_.data();
     simd_ops_->ui_block(args);
@@ -159,9 +183,9 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
   for (int e = 0; e < nh; ++e) {
     double sr = 0.0;
     double si = 0.0;
-    for (int lane = 0; lane < w; ++lane) {
-      sr += simd_acc_re_[static_cast<std::size_t>(e) * w + lane];
-      si += simd_acc_im_[static_cast<std::size_t>(e) * w + lane];
+    for (int l = 0; l < w; ++l) {
+      sr += simd_acc_re_[static_cast<std::size_t>(e) * w + l];
+      si += simd_acc_im_[static_cast<std::size_t>(e) * w + l];
     }
     utot_half_re_[e] = sr;
     utot_half_im_[e] = si;
@@ -169,23 +193,37 @@ void Bispectrum::compute_ui(std::span<const Vec3> rij,
 
   for (int j = 0; j <= params_.twojmax; ++j) {
     for (int ma = 0; ma <= j / 2; ++ma) {
-      utot_half_re_[idx_.u_half_index(j, ma, ma)] += params_.wself;
+      utot_half_re_[idx_->u_half_index(j, ma, ma)] += params_.wself;
     }
   }
 
   mirror_half_to_full(utot_half_re_.data(), utot_half_im_.data(), utot_);
+  for (int f = 0; f < idx_->u_total(); ++f) {
+    lane_u_re_[static_cast<std::size_t>(f) * w + lane] = utot_[f].re;
+    lane_u_im_[static_cast<std::size_t>(f) * w + lane] = utot_[f].im;
+  }
+}
+
+void Bispectrum::clear_lane(int lane) {
+  require_lane(lane);
+  const int w = simd_ops_->width;
+  for (int f = 0; f < idx_->u_total(); ++f) {
+    lane_u_re_[static_cast<std::size_t>(f) * w + lane] = 0.0;
+    lane_u_im_[static_cast<std::size_t>(f) * w + lane] = 0.0;
+  }
+  lanes_[lane].nnbor = 0;
 }
 
 Cplx Bispectrum::z_element_aligned(const ZTriple& t, int ma, int mb) const {
   const int j1 = t.j1;
   const int j2 = t.j2;
   const int s = (t.j1 + t.j2 - t.j) / 2;
-  const Cplx* u1 = utot_.data() + idx_.u_block(j1);
-  const Cplx* u2 = utot_.data() + idx_.u_block(j2);
+  const Cplx* u1 = utot_.data() + idx_->u_block(j1);
+  const Cplx* u2 = utot_.data() + idx_->u_block(j2);
   const int s1 = j1 + 1;
   const int s2 = j2 + 1;
-  const double* cgr = idx_.aligned_cg_row(t, ma);
-  const double* cgc = idx_.aligned_cg_row(t, mb);
+  const double* cgr = idx_->aligned_cg_row(t, ma);
+  const double* cgc = idx_->aligned_cg_row(t, mb);
 
   Cplx z{};
   const int ra_lo = std::max(0, ma + s - j2);
@@ -209,7 +247,7 @@ Cplx Bispectrum::z_element_aligned(const ZTriple& t, int ma, int mb) const {
 }
 
 void Bispectrum::compute_zi() {
-  for (const auto& t : idx_.z_triples()) {
+  for (const auto& t : idx_->z_triples()) {
     Cplx* z = zlist_.data() + t.idxz_u;
     const int n = t.j + 1;
     for (int ma = 0; ma < n; ++ma) {
@@ -226,11 +264,11 @@ void Bispectrum::compute_bi() { compute_bi_impl(params_.bzero_flag); }
 void Bispectrum::compute_bi_impl(bool subtract_bzero) {
   EMBER_REQUIRE(have_z_, "compute_bi requires compute_zi");
   int l = 0;
-  for (const auto& bt : idx_.b_triples()) {
-    const int zi = idx_.z_index(bt.j1, bt.j2, bt.j);
-    const ZTriple& t = idx_.z_triples()[zi];
+  for (const auto& bt : idx_->b_triples()) {
+    const int zi = idx_->z_index(bt.j1, bt.j2, bt.j);
+    const ZTriple& t = idx_->z_triples()[zi];
     const Cplx* z = zlist_.data() + t.idxz_u;
-    const Cplx* uj = utot_.data() + idx_.u_block(bt.j);
+    const Cplx* uj = utot_.data() + idx_->u_block(bt.j);
     const int n = bt.j + 1;
     double sum = 0.0;
     for (int e = 0; e < n * n; ++e) sum += re_mul_conj(z[e], uj[e]);
@@ -240,72 +278,97 @@ void Bispectrum::compute_bi_impl(bool subtract_bzero) {
 }
 
 void Bispectrum::compute_yi(std::span<const double> beta) {
-  EMBER_REQUIRE(static_cast<int>(beta.size()) == idx_.num_b(),
+  EMBER_REQUIRE(static_cast<int>(beta.size()) == idx_->num_b(),
                 "beta size must equal the number of bispectrum components");
-  const auto& triples = idx_.z_triples();
-  yi_coeff_scratch_.resize(triples.size());
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    yi_coeff_scratch_[i] = beta[triples[i].idxb] * triples[i].beta_scale;
+  const auto& triples = idx_->z_triples();
+  const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
+  for (std::size_t t = 0; t < triples.size(); ++t) {
+    yi_coeff_[t * w] = beta[triples[t].idxb] * triples[t].beta_scale;
   }
-  compute_yi_coeffs(yi_coeff_scratch_);
+  compute_yi_block(yi_coeff_);
 }
 
-void Bispectrum::compute_yi_coeffs(std::span<const double> coeffs) {
-  const auto& triples = idx_.z_triples();
-  EMBER_REQUIRE(coeffs.size() == triples.size(),
-                "coefficient array must have one entry per coupling triple");
+void Bispectrum::compute_yi_block(std::span<const double> coeff_planes) {
+  const YiList& yl = idx_->yi_list();
+  const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
+  EMBER_REQUIRE(coeff_planes.size() == idx_->z_triples().size() * w,
+                "coefficient planes must hold one lane set per triple");
+  // Caller-owned, so checked in every build (once per block).
+  EMBER_REQUIRE(is_aligned(coeff_planes.data()),
+                "SNAP coefficient planes must be 64-byte aligned");
+  simd::YiBlockArgs args;
+  args.ntriples = static_cast<int>(yl.triple_end.size());
+  args.triple_end = yl.triple_end.data();
+  args.outs = yl.outs.data();
+  args.rows = yl.rows.data();
+  args.cg = idx_->aligned_cg_data();
+  args.nh = idx_->u_half_total();
+  args.coeff = coeff_planes.data();
+  args.u_re = lane_u_re_.data();
+  args.u_im = lane_u_im_.data();
+  args.y_re = lane_y_re_.data();
+  args.y_im = lane_y_im_.data();
+  simd_ops_->yi_block(args);
+}
 
-  // Half-column Y sweep: the z element of a dropped column follows the
-  // same conjugation mirror as U, so only 2*mb <= t.j is accumulated.
-  std::fill(y_half_re_.begin(), y_half_re_.end(), 0.0);
-  std::fill(y_half_im_.begin(), y_half_im_.end(), 0.0);
-  for (std::size_t i = 0; i < triples.size(); ++i) {
-    const ZTriple& t = triples[i];
-    const double coeff = coeffs[i];
-    if (coeff == 0.0) continue;
-    const int hblk = idx_.u_half_block(t.j);
-    const int hs = t.j / 2 + 1;
-    for (int ma = 0; ma <= t.j; ++ma) {
-      for (int mb = 0; mb <= t.j / 2; ++mb) {
-        const Cplx z = z_element_aligned(t, ma, mb);
-        const int e = hblk + ma * hs + mb;
-        y_half_re_[e] += coeff * z.re;
-        y_half_im_[e] += coeff * z.im;
+void Bispectrum::require_lane(int lane) const {
+  EMBER_REQUIRE(lane >= 0 && lane < lane_width(), "atom lane out of range");
+}
+
+std::vector<Cplx> Bispectrum::ylist(int lane) const {
+  require_lane(lane);
+  // Element (ma, mb) of the stored half range (weight 1 or 2) is read
+  // directly; every other element is the conjugation mirror of one.
+  const int w = simd_ops_->width;
+  std::vector<Cplx> full(idx_->u_total());
+  for (int j = 0; j <= params_.twojmax; ++j) {
+    for (int ma = 0; ma <= j; ++ma) {
+      for (int mb = 0; mb <= j; ++mb) {
+        const bool stored = half_weight(j, ma, mb) != 0.0 && 2 * mb <= j;
+        const int ha = stored ? ma : j - ma;
+        const int hb = stored ? mb : j - mb;
+        const std::size_t h =
+            static_cast<std::size_t>(idx_->u_half_index(j, ha, hb)) * w + lane;
+        const double hw = half_weight(j, ha, hb);
+        const Cplx y{lane_y_re_[h] / hw, lane_y_im_[h] / hw};
+        const double sign = ((ma + mb) % 2 == 0) ? 1.0 : -1.0;
+        full[idx_->u_index(j, ma, mb)] =
+            stored ? y : Cplx{sign * y.re, -sign * y.im};
       }
     }
   }
-  // Keep the full-range ylist_ mirror valid (energy_from_yi reads it) ...
-  mirror_half_to_full(y_half_re_.data(), y_half_im_.data(), ylist_);
-  // ... then fold the contraction weights into the half planes, so
-  // compute_deidrj_all is a pure dot product over the half range.
-  const auto& hw = idx_.half_weights();
-  for (int e = 0; e < idx_.u_half_total(); ++e) {
-    y_half_re_[e] *= hw[e];
-    y_half_im_[e] *= hw[e];
-  }
+  return full;
 }
 
-void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
-  EMBER_REQUIRE(static_cast<int>(de.size()) >= nnbor_cached_,
+void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
+  require_lane(lane);
+  const LaneCache& lc = lanes_[lane];
+  EMBER_REQUIRE(static_cast<int>(de.size()) >= lc.nnbor,
                 "force span smaller than the cached neighbor set");
-  const int nh = idx_.u_half_total();
+  const int nh = idx_->u_half_total();
   const int w = simd_ops_->width;
   const std::size_t plane = static_cast<std::size_t>(nh) * w;
-  const int nblk = (nnbor_cached_ + w - 1) / w;
+  const int nblk = (lc.nnbor + w - 1) / w;
   EMBER_CHECK(EMBER_REQUIRE(
       is_aligned(y_half_re_.data()) && is_aligned(simd_du_re_[0].data()),
       "SNAP SIMD planes must be 64-byte aligned"));
 
+  // The dei kernel broadcasts Y per element: gather this atom's lane.
+  for (int e = 0; e < nh; ++e) {
+    y_half_re_[e] = lane_y_re_[static_cast<std::size_t>(e) * w + lane];
+    y_half_im_[e] = lane_y_im_[static_cast<std::size_t>(e) * w + lane];
+  }
+
   for (int b = 0; b < nblk; ++b) {
-    for (int lane = 0; lane < w; ++lane) pack_ck_lane(b * w, lane, w);
+    for (int l = 0; l < w; ++l) pack_ck_lane(lc, b * w, l, w);
     simd::DeiBlockArgs args;
     args.twojmax = params_.twojmax;
-    args.half_block = idx_.u_half_block_data();
+    args.half_block = idx_->u_half_block_data();
     args.nh = nh;
     args.rootpq = rootpq_.data();
     args.ck = simd_ck_.data();
-    args.ur = ucache_re_.data() + static_cast<std::size_t>(b) * plane;
-    args.ui = ucache_im_.data() + static_cast<std::size_t>(b) * plane;
+    args.ur = lc.ure.data() + static_cast<std::size_t>(b) * plane;
+    args.ui = lc.uim.data() + static_cast<std::size_t>(b) * plane;
     for (int d = 0; d < 3; ++d) {
       args.du_re[d] = simd_du_re_[d].data();
       args.du_im[d] = simd_du_im_[d].data();
@@ -314,33 +377,44 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de) {
     args.y_im = y_half_im_.data();
     args.out = simd_out_.data();
     simd_ops_->dei_block(args);
-    const int active = std::min(w, nnbor_cached_ - b * w);
-    for (int lane = 0; lane < active; ++lane) {
-      de[b * w + lane] = Vec3{simd_out_[0 * w + lane],
-                              simd_out_[1 * w + lane],
-                              simd_out_[2 * w + lane]};
+    const int active = std::min(w, lc.nnbor - b * w);
+    for (int l = 0; l < active; ++l) {
+      de[b * w + l] = Vec3{simd_out_[0 * w + l], simd_out_[1 * w + l],
+                           simd_out_[2 * w + l]};
     }
   }
 }
 
-double Bispectrum::energy_from_yi(double beta0,
-                                  std::span<const double> beta) const {
+double Bispectrum::energy_from_yi(double beta0, std::span<const double> beta,
+                                  int lane) const {
+  require_lane(lane);
+  // Y carries the half weights, so the half range restores the full
+  // sum: Re(Y conj U) is the same on an element and on its mirror.
+  const int w = simd_ops_->width;
   double sum = 0.0;
-  for (int i = 0; i < idx_.u_total(); ++i) {
-    sum += re_mul_conj(ylist_[i], utot_[i]);
+  for (int j = 0; j <= params_.twojmax; ++j) {
+    for (int ma = 0; ma <= j; ++ma) {
+      for (int mb = 0; 2 * mb <= j; ++mb) {
+        const std::size_t h =
+            static_cast<std::size_t>(idx_->u_half_index(j, ma, mb)) * w + lane;
+        const std::size_t f =
+            static_cast<std::size_t>(idx_->u_index(j, ma, mb)) * w + lane;
+        sum += lane_y_re_[h] * lane_u_re_[f] + lane_y_im_[h] * lane_u_im_[f];
+      }
+    }
   }
   double e = beta0 + sum / 3.0;
   if (params_.bzero_flag) {
-    for (int l = 0; l < idx_.num_b(); ++l) e -= beta[l] * bzero_[l];
+    for (int l = 0; l < idx_->num_b(); ++l) e -= beta[l] * bzero_[l];
   }
   return e;
 }
 
 double Bispectrum::energy(double beta0, std::span<const double> beta) const {
-  EMBER_REQUIRE(static_cast<int>(beta.size()) == idx_.num_b(),
+  EMBER_REQUIRE(static_cast<int>(beta.size()) == idx_->num_b(),
                 "beta size must equal the number of bispectrum components");
   double e = beta0;
-  for (int l = 0; l < idx_.num_b(); ++l) e += beta[l] * blist_[l];
+  for (int l = 0; l < idx_->num_b(); ++l) e += beta[l] * blist_[l];
   return e;
 }
 
@@ -354,67 +428,37 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // the mirror expansions, and the recursion-free cached dU pass with its
 // fused contraction.
 
-namespace {
-// Half-column z sweep (2*mb <= t.j) over every coupling triple.
-double z_sweep_flops(const SnapIndex& idx) {
-  double total = 0.0;
-  for (const auto& t : idx.z_triples()) {
-    const int s = (t.j1 + t.j2 - t.j) / 2;
-    const int n = t.j + 1;
-    double per_matrix = 0.0;
-    for (int ma = 0; ma < n; ++ma) {
-      const int rlo = std::max(0, ma + s - t.j2);
-      const int rhi = std::min(t.j1, ma + s);
-      const double rows = rhi - rlo + 1;
-      for (int mb = 0; mb <= t.j / 2; ++mb) {
-        const int clo = std::max(0, mb + s - t.j2);
-        const int chi = std::min(t.j1, mb + s);
-        const double cols = chi - clo + 1;
-        // inner: cplx mul + scale + add = 10 flops, row finish = 4
-        per_matrix += rows * (cols * 10.0 + 4.0);
-      }
-    }
-    total += per_matrix;
-  }
-  return total;
-}
-
-double z_half_outputs(const SnapIndex& idx) {
-  double total = 0.0;
-  for (const auto& t : idx.z_triples()) {
-    total += static_cast<double>(t.j + 1) * (t.j / 2 + 1);
-  }
-  return total;
-}
-}  // namespace
-
 double Bispectrum::flops_ui(int nnbor) const {
   // Vector lanes execute the same recursion, and padded-lane work is *not*
   // counted — fraction-of-peak readouts stay honest about useful flops.
   // mapping ~60, half recursion ~22 + accumulation 4 per half element,
   // plus the one-off mirror expansion (~2 per full element).
   return static_cast<double>(nnbor) *
-             (60.0 + 26.0 * static_cast<double>(idx_.u_half_total())) +
-         2.0 * static_cast<double>(idx_.u_total());
+             (60.0 + 26.0 * static_cast<double>(idx_->u_half_total())) +
+         2.0 * static_cast<double>(idx_->u_total());
 }
 
 double Bispectrum::flops_yi() const {
-  // half-column z sweep + accumulation into the half planes (4 per
-  // produced element) + mirror into ylist_ (~2 per full element).
-  return z_sweep_flops(idx_) + 4.0 * z_half_outputs(idx_) +
-         2.0 * static_cast<double>(idx_.u_total());
+  // Counted from the yi list the kernel walks, per atom lane: each term
+  // is a complex product, a CG scale and an add (10), each row finish a
+  // complex scale-add (4), each output the weighted accumulation into Y
+  // (4). Dropped zero-CG rows and padded lanes are not in the count.
+  const YiList& yl = idx_->yi_list();
+  return 10.0 * static_cast<double>(yl.terms) +
+         4.0 * static_cast<double>(yl.rows.size()) +
+         4.0 * static_cast<double>(yl.outs.size());
 }
 
 double Bispectrum::flops_duidrj() const {
   // cached scheme: no mapping, no U recursion; the product rule is fused
   // into the contraction (see flops_deidrj), so the dU pass is the bare
   // derivative recursion (3 dims * 16) over the half range alone.
-  return 48.0 * static_cast<double>(idx_.u_half_total());
+  return 48.0 * static_cast<double>(idx_->u_half_total());
 }
 
 double Bispectrum::flops_deidrj() const {
   // fused pass: S0 (4) + three Sd dots (12) per half element.
-  return 16.0 * static_cast<double>(idx_.u_half_total());
+  return 16.0 * static_cast<double>(idx_->u_half_total());
 }
 
 double Bispectrum::flops_adjoint_atom(int nnbor) const {

@@ -18,7 +18,7 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
   }
   u_total_ = off;
 
-  // Half-range U blocks (columns 2*mb <= j) and their contraction weights.
+  // Half-range U blocks (columns 2*mb <= j).
   u_half_block_.resize(twojmax + 1);
   off = 0;
   for (int j = 0; j <= twojmax; ++j) {
@@ -26,14 +26,6 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
     off += (j + 1) * (j / 2 + 1);
   }
   u_half_total_ = off;
-  half_weight_.resize(u_half_total_);
-  for (int j = 0; j <= twojmax; ++j) {
-    for (int ma = 0; ma <= j; ++ma) {
-      for (int mb = 0; mb <= j / 2; ++mb) {
-        half_weight_[u_half_index(j, ma, mb)] = half_weight(j, ma, mb);
-      }
-    }
-  }
 
   // Canonical bispectrum triples: j >= j1 >= j2, paper's enumeration
   // 0 <= 2j2 <= 2j1 <= 2j <= 2J. NB(2J=8) = 55, NB(2J=14) = 204.
@@ -117,6 +109,43 @@ SnapIndex::SnapIndex(int twojmax) : twojmax_(twojmax) {
                                                    : 0.0);
       }
     }
+  }
+
+  // Flattened yi list: the range math and zero tests of a z element are
+  // resolved here once, so the kernel walks plain (u1, u2, ncol) rows.
+  // Row ma1 of output (ma, mb) multiplies u1[ma1, mb1] by
+  // u2[ma + s - ma1, mb + s - mb1] over the coupling range of mb1.
+  for (const auto& t : z_) {
+    const int s = (t.j1 + t.j2 - t.j) / 2;
+    for (int ma = 0; ma <= t.j; ++ma) {
+      const int ra_lo = std::max(0, ma + s - t.j2);
+      const int ra_hi = std::min(t.j1, ma + s);
+      const double* cgr = aligned_cg_row(t, ma);
+      for (int mb = 0; 2 * mb <= t.j; ++mb) {
+        const double w = half_weight(t.j, ma, mb);
+        if (w == 0.0) continue;
+        const int cb_lo = std::max(0, mb + s - t.j2);
+        const int cb_hi = std::min(t.j1, mb + s);
+        simd::YiOut out;
+        out.out = u_half_index(t.j, ma, mb);
+        out.row_begin = static_cast<int>(yi_.rows.size());
+        out.weight = w;
+        for (int ma1 = ra_lo; ma1 <= ra_hi; ++ma1) {
+          if (cgr[ma1] == 0.0) continue;
+          simd::YiRow row;
+          row.u1 = u_index(t.j1, ma1, cb_lo);
+          row.u2 = u_index(t.j2, ma + s - ma1, mb + s - cb_lo);
+          row.ncol = cb_hi - cb_lo + 1;
+          row.cg = t.idxcga + mb * (t.j1 + 1) + cb_lo;
+          row.cg_row = cgr[ma1];
+          yi_.rows.push_back(row);
+          yi_.terms += row.ncol;
+        }
+        out.row_end = static_cast<int>(yi_.rows.size());
+        if (out.row_end > out.row_begin) yi_.outs.push_back(out);
+      }
+    }
+    yi_.triple_end.push_back(static_cast<int>(yi_.outs.size()));
   }
 }
 

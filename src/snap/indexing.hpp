@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "snap/simd/kernels.hpp"
 
 namespace ember::snap {
 
@@ -46,6 +47,18 @@ constexpr double half_weight(int j, int ma, int mb) {
   if (2 * ma == j) return 1.0;
   return 0.0;
 }
+
+// The flattened yi coupling list (see simd::YiBlockArgs): per coupling
+// triple, in z_triples() order, its half-range output elements with a
+// non-zero half weight; per output, the rows of its z sum with a non-zero
+// row CG. Built once per index and read-only afterwards, so every kernel
+// instance that shares the index shares the list.
+struct YiList {
+  std::vector<int> triple_end;    // outs of triple t: [end[t-1], end[t])
+  std::vector<simd::YiOut> outs;
+  std::vector<simd::YiRow> rows;
+  long terms = 0;                 // sum of rows' ncol
+};
 
 struct BTriple {
   int j1 = 0;
@@ -80,11 +93,6 @@ class SnapIndex {
   [[nodiscard]] int u_half_index(int j, int ma, int mb) const {
     return u_half_block_[j] + ma * (j / 2 + 1) + mb;
   }
-  // half_weight(j, ma, mb) flattened over the half layout; contractions
-  // over the half range multiply by this table to restore the full sum.
-  [[nodiscard]] const std::vector<double>& half_weights() const {
-    return half_weight_;
-  }
 
   // ---- coupling triples ----
   [[nodiscard]] const std::vector<ZTriple>& z_triples() const { return z_; }
@@ -117,6 +125,13 @@ class SnapIndex {
   [[nodiscard]] const double* aligned_cg_row(const ZTriple& t, int m) const {
     return cg_aligned_.data() + t.idxcga + m * (t.j1 + 1);
   }
+  [[nodiscard]] const double* aligned_cg_data() const {
+    return cg_aligned_.data();
+  }
+
+  // ---- flattened yi list ----
+  // YiRow::cg offsets index aligned_cg_data().
+  [[nodiscard]] const YiList& yi_list() const { return yi_; }
 
  private:
   int twojmax_;
@@ -124,7 +139,6 @@ class SnapIndex {
   int u_total_ = 0;
   std::vector<int> u_half_block_;
   int u_half_total_ = 0;
-  std::vector<double> half_weight_;
   std::vector<double> cg_aligned_;
   std::vector<ZTriple> z_;
   std::vector<BTriple> b_;
@@ -132,6 +146,7 @@ class SnapIndex {
   std::vector<int> z_block_;  // dense [j1][j2][j] lookup (j1 >= j2)
   int z_total_ = 0;
   std::vector<double> cg_;
+  YiList yi_;
 };
 
 }  // namespace ember::snap

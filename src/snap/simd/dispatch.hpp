@@ -4,7 +4,8 @@
 //
 // The production SNAP kernel batches the Wigner-U recursion and the
 // Y : dU* adjoint contraction over blocks of neighbors, one neighbor per
-// vector lane (1 for Scalar, 4 for AVX2, 8 for AVX-512). Every tier runs
+// vector lane, and the Y contraction over blocks of atoms, one atom per
+// lane (1 lane for Scalar, 4 for AVX2, 8 for AVX-512). Every tier runs
 // the same width-generic kernels (kernels_impl.hpp); which table runs is
 // decided at runtime, once per Bispectrum construction; EMBER_SIMD is the
 // only knob:
@@ -30,14 +31,15 @@
 namespace ember::snap::simd {
 
 enum class SimdIsa {
-  Scalar,  // 1 neighbor lane, base ISA (kernels_scalar.cpp)
-  Avx2,    // 4 neighbor lanes per 256-bit register
-  Avx512,  // 8 neighbor lanes per 512-bit register
+  Scalar,  // 1 lane, base ISA (kernels_scalar.cpp)
+  Avx2,    // 4 lanes per 256-bit register
+  Avx512,  // 8 lanes per 512-bit register
 };
 
 [[nodiscard]] const char* to_string(SimdIsa isa);
 
-// Neighbor lanes per vector register (1 for Scalar).
+// Lanes per vector register (1 for Scalar): neighbors per ui/dei block,
+// atoms per yi block.
 [[nodiscard]] int lane_width(SimdIsa isa);
 
 // Best ISA the executing CPU *and* this binary support (cached probe).

@@ -2,17 +2,20 @@
 
 // Argument blocks and the per-ISA kernel table for the V8 SIMD backend.
 //
-// Lane layout. A block processes `width` neighbors at once, one per
-// vector lane. Every per-neighbor plane is *lane-interleaved*: the value
-// of half-layout element e for lane l lives at plane[e * width + l], so
-// one aligned vector load at offset e * width reads element e of all
-// neighbors in the block. Planes are 64-byte aligned (common/aligned.hpp)
-// and lane offsets are width multiples, so every access is aligned.
+// Lane layout. A block processes `width` items at once, one per vector
+// lane: ui_block and dei_block take one *neighbor* per lane, yi_block one
+// *atom* per lane. Every per-lane plane is *lane-interleaved*: the value
+// of element e for lane l lives at plane[e * width + l], so one aligned
+// vector load at offset e * width reads element e of every lane in the
+// block. Planes are 64-byte aligned (common/aligned.hpp) and lane offsets
+// are width multiples, so every access is aligned.
 //
-// Remainder policy. The caller pads short blocks: inactive lanes carry a
-// copy of the last active neighbor's Cayley-Klein parameters (keeps the
-// recursion finite) and a zero weight, so their contributions vanish in
-// the weighted accumulation and their force outputs are ignored.
+// Remainder policy. The caller pads short blocks. In ui/dei, inactive
+// lanes carry a copy of the last active neighbor's Cayley-Klein
+// parameters (keeps the recursion finite) and a zero weight, so their
+// contributions vanish in the weighted accumulation and their force
+// outputs are ignored. In yi, inactive atom lanes hold zeroed U planes,
+// so their Y lanes come out zero and are never read.
 //
 // The structs below are plain pointers + sizes so this header needs no
 // intrinsics; the implementations live in kernels_scalar.cpp (width 1,
@@ -75,13 +78,56 @@ struct DeiBlockArgs {
   double* du_re[3] = {};            // scratch planes, nh * width each
   double* du_im[3] = {};
   const double* y_re = nullptr;     // half-range Y, element-major,
-  const double* y_im = nullptr;     //   pre-folded with half_weights
+  const double* y_im = nullptr;     //   pre-folded with half_weight
   double* out = nullptr;            // 3 * width: dim-major force lanes
 };
 
+// Flattened yi coupling list (SnapIndex::yi_list()). One YiOut per
+// half-range output element (2*mb <= j, half weight non-zero) of every
+// coupling triple, in triple order; its rows are the non-zero-CG terms of
+// the z element
+//   z = sum_rows cg_row * sum_{k < ncol} cg[k] * U[u1 + k] * U[u2 - k]
+// (complex products over the full-range U), so the kernel carries no
+// range math and no zero tests.
+struct YiRow {
+  int u1 = 0;          // full-U element of the first factor at k = 0
+  int u2 = 0;          // full-U element of the second factor at k = 0,
+                       //   walked downwards
+  int ncol = 0;        // terms in the row
+  int cg = 0;          // offset of the row's column CG factors
+  double cg_row = 0.0; // the row's own CG factor
+};
+
+struct YiOut {
+  int out = 0;         // half-layout element the z element accumulates to
+  int row_begin = 0;   // rows [row_begin, row_end) of the list
+  int row_end = 0;
+  double weight = 0.0; // half_weight of `out` (1 or 2), folded into Y
+};
+
+// Y contraction for one block of atoms, one atom per lane:
+//   y[out] = sum_{entries} weight * coeff[triple] * z
+// over lane-interleaved full-U planes, with per-lane coefficient planes
+// coeff[t * width + l]. Triples whose coefficient is zero on every lane
+// are skipped (their terms would add zero). Y planes are overwritten.
+struct YiBlockArgs {
+  int ntriples = 0;
+  const int* triple_end = nullptr;  // outputs of triple t end here
+  const YiOut* outs = nullptr;
+  const YiRow* rows = nullptr;
+  const double* cg = nullptr;       // column CG factors (YiRow::cg)
+  int nh = 0;                       // u_half_total()
+  const double* coeff = nullptr;    // ntriples * width
+  const double* u_re = nullptr;     // full-range U, u_total * width
+  const double* u_im = nullptr;
+  double* y_re = nullptr;           // half-range Y out, nh * width,
+  double* y_im = nullptr;           //   pre-folded with half_weight
+};
+
 struct SimdOps {
-  int width = 1;  // neighbor lanes per block
+  int width = 1;  // lanes per block
   void (*ui_block)(const UiBlockArgs&) = nullptr;
+  void (*yi_block)(const YiBlockArgs&) = nullptr;
   void (*dei_block)(const DeiBlockArgs&) = nullptr;
 };
 

@@ -1,7 +1,8 @@
-// AVX-512 backend: 8 neighbor lanes per 512-bit register. Compiled with
-// -mavx512f (per-file, see src/snap/CMakeLists.txt). Negation goes
-// through subtraction because _mm512_xor_pd needs AVX-512DQ and this TU
-// only requires the F foundation subset.
+// AVX-512 backend: 8 lanes per 512-bit register (neighbors in ui/dei,
+// atoms in yi). Compiled with -mavx512f (per-file, see
+// src/snap/CMakeLists.txt). Negation goes through subtraction because
+// _mm512_xor_pd needs AVX-512DQ and this TU only requires the F
+// foundation subset.
 
 #include "snap/simd/kernels.hpp"
 
@@ -43,6 +44,7 @@ const SimdOps& avx512_ops() {
   static const SimdOps ops{
       Vec8::width,
       [](const UiBlockArgs& args) { ui_block_impl<Vec8>(args); },
+      [](const YiBlockArgs& args) { yi_block_impl<Vec8>(args); },
       [](const DeiBlockArgs& args) { dei_block_impl<Vec8>(args); },
   };
   return ops;

@@ -1,7 +1,7 @@
 #pragma once
 
-// Width-generic implementations of the V8 SIMD kernels: the one ui/dei
-// implementation every tier runs.
+// Width-generic implementations of the V8 SIMD kernels: the one ui, yi
+// and dei implementation every tier runs.
 //
 // Included only by the per-ISA translation units (kernels_scalar.cpp,
 // kernels_avx2.cpp, kernels_avx512.cpp), each of which supplies a vector
@@ -19,11 +19,16 @@
 // ui_block runs the bare-U recursion over the half column range
 // (2*mb <= j; the rest follow from the conjugation mirror), dei_block the
 // derivative-only recursion on the cached bare U plus the fused product
-// rule and Y : dU* contraction. Each lane is one neighbor; the
-// association order per lane is the same at every width, so tiers differ
-// only by FMA contraction rounding. The references are TestSNAP's
-// Listing-1 per-neighbor dE (listing1_deidrj: full-range U, Z and dB),
-// closed-form Wigner U and TestSNAP V3, at <= 1e-12 (tests/snap/).
+// rule and Y : dU* contraction; in both, each lane is one neighbor of one
+// atom. yi_block is the Y contraction over the flattened coupling list,
+// and there each lane is one *atom*: every atom runs the same triples,
+// ranges and CG factors, so the list is walked once per block of atoms.
+// The association order per lane is the same at every width and in
+// every lane, so tiers differ only by FMA contraction rounding and an
+// atom's result does not depend on its lane or its block-mates. The
+// references are TestSNAP's Listing-1 per-neighbor dE (listing1_deidrj:
+// full-range U, Z and dB), closed-form Wigner U and TestSNAP V3, at
+// <= 1e-12 (tests/snap/).
 //
 // This header contains no intrinsics (ember_lint simd-intrinsics-include
 // confines those to the kernels_avx*.cpp TUs).
@@ -96,6 +101,61 @@ void ui_block_impl(const UiBlockArgs& g) {
     const int o = e * kW;
     V::fma(w, V::load(ur + o), V::load(g.acc_re + o)).store_to(g.acc_re + o);
     V::fma(w, V::load(ui + o), V::load(g.acc_im + o)).store_to(g.acc_im + o);
+  }
+}
+
+template <class V>
+void yi_block_impl(const YiBlockArgs& g) {
+  constexpr int kW = V::width;
+  for (int e = 0; e < g.nh * kW; e += kW) {
+    V::zero().store_to(g.y_re + e);
+    V::zero().store_to(g.y_im + e);
+  }
+  int o = 0;
+  for (int t = 0; t < g.ntriples; ++t) {
+    const int oend = g.triple_end[t];
+    const double* ct = g.coeff + t * kW;
+    bool live = false;
+    for (int l = 0; l < kW; ++l) live = live || ct[l] != 0.0;
+    if (!live) {
+      o = oend;
+      continue;
+    }
+    const V coeff = V::load(ct);
+    for (; o < oend; ++o) {
+      const YiOut& out = g.outs[o];
+      V zr = V::zero();
+      V zi = V::zero();
+      for (int r = out.row_begin; r < out.row_end; ++r) {
+        const YiRow& row = g.rows[r];
+        const double* u1r = g.u_re + row.u1 * kW;
+        const double* u1i = g.u_im + row.u1 * kW;
+        const double* u2r = g.u_re + row.u2 * kW;
+        const double* u2i = g.u_im + row.u2 * kW;
+        const double* cg = g.cg + row.cg;
+        V sr = V::zero();
+        V si = V::zero();
+        for (int k = 0; k < row.ncol; ++k) {
+          const V ar = V::load(u1r + k * kW);
+          const V ai = V::load(u1i + k * kW);
+          const V br = V::load(u2r - k * kW);
+          const V bi = V::load(u2i - k * kW);
+          const V c = V::broadcast(cg[k]);
+          // s += cg * (u1 * u2)
+          sr = V::fma(c, V::fmsub(ar, br, ai * bi), sr);
+          si = V::fma(c, V::fma(ar, bi, ai * br), si);
+        }
+        const V cr = V::broadcast(row.cg_row);
+        zr = V::fma(cr, sr, zr);
+        zi = V::fma(cr, si, zi);
+      }
+      // The half weight is 1 or 2, so folding it into the coefficient is
+      // exact: y = weight * sum coeff * z, bit for bit.
+      const V c = coeff * V::broadcast(out.weight);
+      const int e = out.out * kW;
+      V::fma(c, zr, V::load(g.y_re + e)).store_to(g.y_re + e);
+      V::fma(c, zi, V::load(g.y_im + e)).store_to(g.y_im + e);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Width-1 backend: the scalar tier runs the same lane-generic kernels as
-// the vector ISAs, one neighbor per "block". Compiled for the base ISA
-// with no intrinsics; fma is spelled a * b + c rather than std::fma,
-// which is a libm call where the base ISA has no FMA instruction.
+// the vector ISAs, one neighbor (ui/dei) or atom (yi) per "block".
+// Compiled for the base ISA with no intrinsics; fma is spelled a * b + c
+// rather than std::fma, which is a libm call where the base ISA has no
+// FMA instruction.
 
 #include "snap/simd/kernels_impl.hpp"
 
@@ -31,6 +32,7 @@ const SimdOps& scalar_ops() {
   static const SimdOps ops{
       Vec1::width,
       [](const UiBlockArgs& args) { ui_block_impl<Vec1>(args); },
+      [](const YiBlockArgs& args) { yi_block_impl<Vec1>(args); },
       [](const DeiBlockArgs& args) { dei_block_impl<Vec1>(args); },
   };
   return ops;

@@ -1,5 +1,7 @@
 #include "snap_potential.hpp"
 
+#include <algorithm>
+#include <any>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -165,40 +167,43 @@ SnapModel SnapModel::load(const std::string& path) {
   return m;
 }
 
+SnapPotential::Worker::Worker(const SnapModel& model, Bispectrum kernel)
+    : bi(std::move(kernel)) {
+  const int w = bi.lane_width();
+  rij.resize(w);
+  jlist.resize(w);
+  for (int l = 0; l < w; ++l) {
+    rij[l].reserve(kNeighborReserve);
+    jlist[l].reserve(kNeighborReserve);
+  }
+  beta_eff.reserve(model.beta.size());
+  if (model.quadratic()) {
+    coeff.assign(bi.index().z_triples().size() * w, 0.0);
+  }
+  de.reserve(kNeighborReserve);
+}
+
 SnapPotential::SnapPotential(SnapModel model)
-    : model_(std::move(model)), bi_(model_.params) {
-  EMBER_REQUIRE(static_cast<int>(model_.beta.size()) == bi_.num_b(),
+    : model_(std::move(model)), w0_(model_, Bispectrum(model_.params)) {
+  const Bispectrum& bi = w0_.bi;
+  EMBER_REQUIRE(static_cast<int>(model_.beta.size()) == bi.num_b(),
                 "SNAP model has wrong number of coefficients");
   EMBER_REQUIRE(model_.alpha.empty() ||
                     model_.alpha.size() ==
                         model_.beta.size() * model_.beta.size(),
                 "quadratic coefficient block must be num_b x num_b");
   if (!model_.quadratic()) {
-    const auto& triples = bi_.index().z_triples();
-    y_coeff_.resize(triples.size());
+    const auto& triples = bi.index().z_triples();
+    const std::size_t w = static_cast<std::size_t>(bi.lane_width());
+    y_coeff_.resize(triples.size() * w);
     for (std::size_t t = 0; t < triples.size(); ++t) {
-      y_coeff_[t] = model_.beta[triples[t].idxb] * triples[t].beta_scale;
+      const double c = model_.beta[triples[t].idxb] * triples[t].beta_scale;
+      for (std::size_t l = 0; l < w; ++l) y_coeff_[t * w + l] = c;
     }
   }
-  rij_.reserve(kNeighborReserve);
-  jlist_.reserve(kNeighborReserve);
-  beta_eff_.reserve(model_.beta.size());
-  de_.reserve(kNeighborReserve);
 }
 
 namespace {
-// Per-thread kernel state for workers >= 1 (worker 0 reuses the member
-// scratch, which keeps the serial code path untouched). Lives in the
-// ComputeContext's per-thread cache: the U/Y/dU buffers inside Bispectrum
-// are allocated once per thread and reused across calls.
-struct SnapThreadScratch {
-  Bispectrum bi;
-  std::vector<Vec3> rij;
-  std::vector<int> jlist;
-  std::vector<double> beta_eff;
-  std::vector<Vec3> de;
-};
-
 // Kernel-stage counters, populated only while obs::kernel_timing_enabled()
 // ("trace on").
 struct SnapStageMetrics {
@@ -218,10 +223,113 @@ struct SnapStageMetrics {
 };
 }  // namespace
 
+void SnapPotential::compute_range(Worker& wk, const md::System& sys,
+                                  const md::NeighborList& nl, int begin,
+                                  int end, std::span<Vec3> f,
+                                  md::ComputeContext::Scratch& s) const {
+  const double rc2 = cutoff() * cutoff();
+  Bispectrum& bi = wk.bi;
+  const int w = bi.lane_width();
+  const bool quadratic = model_.quadratic();
+  const std::size_t ntriples = bi.index().z_triples().size();
+  // Stage timing is opt-in ("trace on" / set_kernel_timing): the flag is
+  // read once per chunk, stage seconds accumulate in chunk-local doubles
+  // and hit the sharded counters once per chunk, so the cost when off is
+  // a single branch per stage.
+  const bool detail = obs::kernel_timing_enabled();
+  double ui_s = 0.0, yi_s = 0.0, dei_s = 0.0;
+  long atoms = 0, neighbors = 0;
+  WallTimer stage;
+
+  for (int i0 = begin; i0 < end; i0 += w) {
+    const int na = std::min(w, end - i0);
+
+    // ui: one atom per lane. Quadratic models need the descriptors before
+    // Y (dE/dB depends on B itself), so each atom's B and effective
+    // coefficients beta + alpha B (LAMMPS quadraticflag) go into its
+    // coefficient lane right after its U.
+    for (int l = 0; l < na; ++l) {
+      const int i = i0 + l;
+      std::vector<Vec3>& rij = wk.rij[l];
+      std::vector<int>& jlist = wk.jlist[l];
+      rij.clear();
+      jlist.clear();
+      for (const auto& en : nl.neighbors(i)) {
+        const Vec3 d = sys.x[en.j] + en.shift - sys.x[i];
+        if (d.norm2() < rc2) {
+          rij.push_back(d);
+          jlist.push_back(en.j);
+        }
+      }
+      if (detail) stage.reset();
+      bi.compute_ui(rij, {}, l);
+      if (detail) ui_s += stage.seconds();
+      atoms += 1;
+      neighbors += static_cast<long>(rij.size());
+      if (quadratic) {
+        if (detail) stage.reset();
+        bi.compute_zi();
+        bi.compute_bi();
+        model_.effective_beta(bi.blist(), wk.beta_eff);
+        const auto& triples = bi.index().z_triples();
+        for (std::size_t t = 0; t < ntriples; ++t) {
+          wk.coeff[t * w + l] =
+              wk.beta_eff[triples[t].idxb] * triples[t].beta_scale;
+        }
+        s.energy += model_.site_energy(bi.blist());
+        if (detail) yi_s += stage.seconds();
+      }
+    }
+    // Padded lanes of a short block: zero U, so their Y is zero.
+    for (int l = na; l < w; ++l) bi.clear_lane(l);
+
+    // yi: the whole block in one contraction over the yi list.
+    if (detail) stage.reset();
+    bi.compute_yi_block(quadratic ? std::span<const double>(wk.coeff)
+                                  : std::span<const double>(y_coeff_));
+    if (!quadratic) {
+      for (int l = 0; l < na; ++l) {
+        s.energy += bi.energy_from_yi(model_.beta0, model_.beta, l);
+      }
+    }
+    if (detail) {
+      yi_s += stage.seconds();
+      stage.reset();
+    }
+
+    // dei: blocked dU + dE pass per atom over the neighbors its lane
+    // cached (one neighbor per lane of the dispatched kernel table).
+    for (int l = 0; l < na; ++l) {
+      const int i = i0 + l;
+      const std::vector<Vec3>& rij = wk.rij[l];
+      const std::vector<int>& jlist = wk.jlist[l];
+      const int nn = static_cast<int>(rij.size());
+      wk.de.resize(nn);
+      bi.compute_deidrj_all(wk.de, l);
+      for (int m = 0; m < nn; ++m) {
+        const Vec3 de = wk.de[m];  // dE_i/dr_k
+        f[jlist[m]] -= de;
+        f[i] += de;
+        s.virial += -dot(rij[m], de);
+      }
+      s.flops += bi.flops_adjoint_atom(nn);
+    }
+    if (detail) dei_s += stage.seconds();
+  }
+
+  if (detail) {
+    SnapStageMetrics& m = SnapStageMetrics::get();
+    m.ui_seconds.add(ui_s);
+    m.yi_seconds.add(yi_s);
+    m.dei_seconds.add(dei_s);
+    m.atoms.add(static_cast<double>(atoms));
+    m.neighbors.add(static_cast<double>(neighbors));
+  }
+}
+
 md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
                                         md::System& sys,
                                         const md::NeighborList& nl) {
-  const double rc2 = cutoff() * cutoff();
   const auto [abegin, aend] = ctx.atom_range(sys.nlocal());
   ctx.zero_partials();
   // Scatter kernel (dE_i/dr_j lands on the neighbor): worker 0 writes
@@ -231,97 +339,19 @@ md::EnergyVirial SnapPotential::compute(const md::ComputeContext& ctx,
   ctx.pool().parallel_for(abegin, aend, /*grain=*/8,
                           [&](int tid, int bb, int ee) {
     auto& s = ctx.scratch(tid);
-    Bispectrum* bi = &bi_;
-    std::vector<Vec3>* rij = &rij_;
-    std::vector<int>* jlist = &jlist_;
-    std::vector<double>* beta_eff = &beta_eff_;
-    std::span<Vec3> f{sys.f};
-    std::vector<Vec3>* de_buf = &de_;
-    if (tid != 0) {
-      auto& th = ctx.cache<SnapThreadScratch>(tid, [&] {
-        SnapThreadScratch scratch{Bispectrum(model_.params), {}, {}, {}, {}};
-        scratch.rij.reserve(kNeighborReserve);
-        scratch.jlist.reserve(kNeighborReserve);
-        scratch.beta_eff.reserve(model_.beta.size());
-        scratch.de.reserve(kNeighborReserve);
-        return scratch;
-      });
-      bi = &th.bi;
-      rij = &th.rij;
-      jlist = &th.jlist;
-      beta_eff = &th.beta_eff;
-      de_buf = &th.de;
-      f = std::span<Vec3>(s.f);
+    if (tid == 0) {
+      compute_range(w0_, sys, nl, bb, ee, sys.f, s);
+      return;
     }
-    // Stage timing is opt-in ("trace on" / set_kernel_timing): the flag is
-    // read once per chunk, stage seconds accumulate in chunk-local doubles
-    // and hit the sharded counters once per chunk, so the cost when off is
-    // a single branch per stage.
-    const bool detail = obs::kernel_timing_enabled();
-    double ui_s = 0.0, yi_s = 0.0, dei_s = 0.0;
-    long atoms = 0, neighbors = 0;
-    WallTimer stage;
-
-    for (int i = bb; i < ee; ++i) {
-      rij->clear();
-      jlist->clear();
-      for (const auto& en : nl.neighbors(i)) {
-        const Vec3 d = sys.x[en.j] + en.shift - sys.x[i];
-        if (d.norm2() < rc2) {
-          rij->push_back(d);
-          jlist->push_back(en.j);
-        }
-      }
-
-      if (detail) stage.reset();
-      bi->compute_ui(*rij, {});
-      if (detail) ui_s += stage.seconds();
-      const int nn = static_cast<int>(rij->size());
-      atoms += 1;
-      neighbors += nn;
-
-      if (detail) stage.reset();
-      if (model_.quadratic()) {
-        // Quadratic models need the descriptors before Y: dE/dB depends
-        // on B itself, so compute B and feed the adjoint the per-atom
-        // effective coefficients beta + alpha B (LAMMPS quadraticflag).
-        bi->compute_zi();
-        bi->compute_bi();
-        model_.effective_beta(bi->blist(), *beta_eff);
-        bi->compute_yi(*beta_eff);
-        s.energy += model_.site_energy(bi->blist());
-      } else {
-        // Linear: the per-triple coefficient fold was done once at
-        // construction.
-        bi->compute_yi_coeffs(y_coeff_);
-        s.energy += bi->energy_from_yi(model_.beta0, model_.beta);
-      }
-      if (detail) {
-        yi_s += stage.seconds();
-        stage.reset();
-      }
-      // Blocked dU + dE pass over the neighbors cached by compute_ui
-      // (one neighbor per lane of the dispatched kernel table).
-      de_buf->resize(nn);
-      bi->compute_deidrj_all(*de_buf);
-      for (int m = 0; m < nn; ++m) {
-        const Vec3 de = (*de_buf)[m];  // dE_i/dr_k
-        f[(*jlist)[m]] -= de;
-        f[i] += de;
-        s.virial += -dot((*rij)[m], de);
-      }
-      if (detail) dei_s += stage.seconds();
-      s.flops += bi->flops_adjoint_atom(nn);
+    // Workers >= 1 run siblings of worker 0's kernel: same table, one
+    // shared index. A slot left by another potential is replaced.
+    const auto make = [&] { return Worker(model_, w0_.bi.sibling()); };
+    auto* wk = &ctx.cache<Worker>(tid, make);
+    if (&wk->bi.index() != &w0_.bi.index()) {
+      s.cache = make();
+      wk = std::any_cast<Worker>(&s.cache);
     }
-
-    if (detail) {
-      SnapStageMetrics& m = SnapStageMetrics::get();
-      m.ui_seconds.add(ui_s);
-      m.yi_seconds.add(yi_s);
-      m.dei_seconds.add(dei_s);
-      m.atoms.add(static_cast<double>(atoms));
-      m.neighbors.add(static_cast<double>(neighbors));
-    }
+    compute_range(*wk, sys, nl, bb, ee, s.f, s);
   });
 
   ctx.merge_forces(sys);

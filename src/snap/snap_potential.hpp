@@ -3,16 +3,18 @@
 // SNAP as an MD PairPotential.
 //
 // Wraps the Bispectrum kernel over a neighbor list and runs the paper's
-// adjoint force path (Listing 5): compute_ui -> compute_yi -> the blocked
-// per-neighbor dE pass, on whichever SIMD backend Bispectrum dispatched to
-// (EMBER_SIMD can lower it). The Listing-1 baseline (Z storage and
-// per-neighbor dB) lives in TestSNAP V0 and in the tests' reference
-// loops, not here.
+// adjoint force path (Listing 5) in blocks of W atoms, W the lane width
+// of whichever SIMD backend Bispectrum dispatched to (EMBER_SIMD can
+// lower it): compute_ui per atom into its lane, one compute_yi_block per
+// block, then the blocked per-neighbor dE pass per atom from its lane of
+// Y. The Listing-1 baseline (Z storage and per-neighbor dB) lives in
+// TestSNAP V0 and in the tests' reference loops, not here.
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "md/potential.hpp"
 #include "snap/bispectrum.hpp"
 
@@ -57,33 +59,47 @@ class SnapPotential final : public md::PairPotential {
   }
   [[nodiscard]] const char* name() const override { return "snap"; }
 
-  // Threaded over atom blocks: worker 0 reuses the member kernel/scratch
-  // (the exact serial path), workers >= 1 get a private Bispectrum +
-  // buffers from the context's per-thread cache — the per-atom U/Y/dU
-  // arrays are allocated once per thread, never shared.
+  // Threaded over atom chunks, each run in blocks of W atoms: worker 0
+  // uses the member Worker (the exact serial path), workers >= 1 get a
+  // private Worker from the context's per-thread cache, so the per-atom
+  // U/Y/dU arrays are allocated once per thread, never shared. All
+  // workers share one SnapIndex (and its yi list) read-only. An atom's
+  // dE and site energy do not depend on its lane or its block-mates.
   using md::PairPotential::compute;
   md::EnergyVirial compute(const md::ComputeContext& ctx, md::System& sys,
                            const md::NeighborList& nl) override;
 
   [[nodiscard]] const SnapModel& model() const { return model_; }
-  [[nodiscard]] Bispectrum& kernel() { return bi_; }
+  [[nodiscard]] Bispectrum& kernel() { return w0_.bi; }
 
   // FLOPs executed by the last compute() call (analytic estimate).
   [[nodiscard]] double last_flops() const { return last_flops_; }
 
  private:
+  // One thread's kernel plus the per-lane scratch of an atom block.
+  struct Worker {
+    Worker(const SnapModel& model, Bispectrum kernel);
+    Bispectrum bi;
+    std::vector<std::vector<Vec3>> rij;  // per lane
+    std::vector<std::vector<int>> jlist;
+    std::vector<double> beta_eff;
+    aligned_vector<double> coeff;  // quadratic: per-lane coefficient planes
+    std::vector<Vec3> de;          // blocked dE_i/dr_k results
+  };
+
+  // Runs atoms [begin, end) in blocks of the lane width.
+  void compute_range(Worker& wk, const md::System& sys,
+                     const md::NeighborList& nl, int begin, int end,
+                     std::span<Vec3> f, md::ComputeContext::Scratch& s) const;
+
   SnapModel model_;
-  Bispectrum bi_;
+  Worker w0_;
   double last_flops_ = 0.0;
-  // Linear models: per-triple adjoint coefficients beta[idxb] * beta_scale,
-  // folded once at construction so the per-atom loop skips the fold (the
-  // quadratic path cannot hoist it — beta_eff depends on the atom's B).
-  std::vector<double> y_coeff_;
-  // per-call scratch (kept to avoid reallocation)
-  std::vector<Vec3> rij_;
-  std::vector<int> jlist_;
-  std::vector<double> beta_eff_;
-  std::vector<Vec3> de_;  // blocked dE_i/dr_k results
+  // Linear models: per-triple adjoint coefficients beta[idxb] * beta_scale
+  // on every lane, folded once at construction and shared read-only by
+  // all workers (the quadratic path cannot hoist it — beta_eff depends on
+  // the atom's B, so each worker writes its atoms' lanes).
+  aligned_vector<double> y_coeff_;
 };
 
 }  // namespace ember::snap

@@ -1,8 +1,9 @@
 #pragma once
 
 // Scoped EMBER_SIMD override for tests. Bispectrum reads the variable at
-// every construction (including the per-thread kernels a threaded compute
-// builds lazily), so a run must sit entirely inside the scope.
+// every construction; SnapPotential's per-thread kernels are siblings of
+// the one it built at its own construction, so a potential keeps the ISA
+// that was in force when it was made.
 
 #include <cstdlib>
 #include <string>

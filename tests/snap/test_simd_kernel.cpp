@@ -3,19 +3,23 @@
 // (EMBER_SIMD=scalar) and with TestSNAP's Listing-1 reference
 // (listing1_deidrj) to <= 1e-12 per component across 2J,
 // neighbor counts that exercise every remainder-lane case, thread counts,
-// and the full SnapPotential evaluation. Every ISA the binary supports
+// and the full SnapPotential evaluation. The yi_block tiers (one atom per
+// lane, remainder blocks included) agree with the width-1 tier and with
+// the full-range sum coeff * Z to 1e-12. Every ISA the binary supports
 // must have a kernel table of its lane width, default parameters must
 // dispatch simd::choose_isa(), and the dispatcher must reject unknown
 // override values.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "md/compute_context.hpp"
 #include "md/lattice.hpp"
@@ -113,6 +117,85 @@ TEST_P(SimdKernelParity, MatchesSymmetricAcrossNeighborCounts) {
   }
 }
 
+TEST_P(SimdKernelParity, YiBlockTiersAgree) {
+  // yi_block puts one atom per lane: every tier runs blocks of its own
+  // width over the same atoms, each atom with its own coefficients (as a
+  // quadratic model's beta_eff), and must agree with the width-1 tier and
+  // with the full-range sum coeff * Z from compute_zi to 1e-12. 11 atoms
+  // leave a remainder block on every width.
+  const int twojmax = GetParam();
+  const SnapParams p = base_params(twojmax);
+  constexpr int kAtoms = 11;
+  Rng rng(303 + static_cast<std::uint64_t>(twojmax));
+  std::vector<std::vector<Vec3>> hood(kAtoms);
+  for (int a = 0; a < kAtoms; ++a) {
+    hood[a] = random_shell(rng, a == 4 ? 0 : 2 + (7 * a) % 20, 0.8, 3.2);
+  }
+  const SnapIndex idx(twojmax);
+  const auto& triples = idx.z_triples();
+  std::vector<std::vector<double>> coeff(kAtoms,
+                                         std::vector<double>(triples.size()));
+  for (auto& c : coeff) {
+    for (auto& x : c) x = 0.01 * rng.uniform(-1.0, 1.0);
+  }
+
+  // Y by atom for one tier, read back through ylist(lane).
+  const auto run_tier = [&](const char* tier) {
+    ScopedSimdEnv env(tier);
+    Bispectrum bi(p);
+    const int w = bi.lane_width();
+    aligned_vector<double> planes(triples.size() * w, 0.0);
+    std::vector<std::vector<Cplx>> y(kAtoms);
+    for (int i0 = 0; i0 < kAtoms; i0 += w) {
+      const int na = std::min(w, kAtoms - i0);
+      for (int l = 0; l < w; ++l) {
+        if (l >= na) {
+          bi.clear_lane(l);
+          continue;
+        }
+        bi.compute_ui(hood[i0 + l], {}, l);
+        for (std::size_t t = 0; t < triples.size(); ++t) {
+          planes[t * w + l] = coeff[i0 + l][t];
+        }
+      }
+      bi.compute_yi_block(planes);
+      for (int l = 0; l < na; ++l) y[i0 + l] = bi.ylist(l);
+    }
+    return y;
+  };
+
+  const auto scalar = run_tier("scalar");
+  Bispectrum ref(p);
+  std::vector<Cplx> y_ref(idx.u_total());
+  for (int a = 0; a < kAtoms; ++a) {
+    ref.compute_ui(hood[a], {});
+    ref.compute_zi();
+    std::fill(y_ref.begin(), y_ref.end(), Cplx{});
+    for (std::size_t t = 0; t < triples.size(); ++t) {
+      const int n = triples[t].j + 1;
+      for (int e = 0; e < n * n; ++e) {
+        y_ref[idx.u_block(triples[t].j) + e] +=
+            coeff[a][t] * ref.zlist()[triples[t].idxz_u + e];
+      }
+    }
+    for (int e = 0; e < idx.u_total(); ++e) {
+      EXPECT_NEAR(scalar[a][e].re, y_ref[e].re, 1e-12) << a << " y " << e;
+      EXPECT_NEAR(scalar[a][e].im, y_ref[e].im, 1e-12) << a << " y " << e;
+    }
+  }
+  for (const char* tier : {"avx2", "avx512"}) {
+    const auto got = run_tier(tier);
+    for (int a = 0; a < kAtoms; ++a) {
+      for (int e = 0; e < idx.u_total(); ++e) {
+        EXPECT_NEAR(got[a][e].re, scalar[a][e].re, 1e-12)
+            << tier << " atom " << a << " y " << e;
+        EXPECT_NEAR(got[a][e].im, scalar[a][e].im, 1e-12)
+            << tier << " atom " << a << " y " << e;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SimdKernelParity,
                          ::testing::Values(2, 4, 8));
 
@@ -127,6 +210,7 @@ TEST(SimdDispatch, EveryIsaHasAKernelTable) {
     const simd::SimdOps& ops = simd::ops_for(isa);
     EXPECT_EQ(ops.width, simd::lane_width(isa)) << simd::to_string(isa);
     EXPECT_NE(ops.ui_block, nullptr) << simd::to_string(isa);
+    EXPECT_NE(ops.yi_block, nullptr) << simd::to_string(isa);
     EXPECT_NE(ops.dei_block, nullptr) << simd::to_string(isa);
   }
 }

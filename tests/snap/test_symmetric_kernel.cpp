@@ -115,9 +115,10 @@ TEST_P(SymmetricKernelParity, StagesMatchNaiveOracle) {
         y_ref[idx.u_block(t.j) + e] += coeff * bi.zlist()[t.idxz_u + e];
       }
     }
+    const std::vector<Cplx> y = bi.ylist();
     for (int e = 0; e < idx.u_total(); ++e) {
-      EXPECT_NEAR(bi.ylist()[e].re, y_ref[e].re, 1e-12) << "y " << e;
-      EXPECT_NEAR(bi.ylist()[e].im, y_ref[e].im, 1e-12) << "y " << e;
+      EXPECT_NEAR(y[e].re, y_ref[e].re, 1e-12) << "y " << e;
+      EXPECT_NEAR(y[e].im, y_ref[e].im, 1e-12) << "y " << e;
     }
 
     // Adjoint energy identity against the explicit beta . B energy.
