@@ -44,12 +44,13 @@ echo "== [3/7] TSan build + threaded-kernel tests =="
 cmake -B build-tsan -S . -DEMBER_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   test_thread_pool test_snap_symmetric_kernel test_snap_simd_kernel \
+  test_snap_atom_block \
   test_md_dynamics test_md_step_loop test_obs_metrics test_obs_trace \
   test_io_embt1 test_io_async_writer test_io_driver_parity \
   test_app_interpreter test_parallel_sim test_parallel_properties
 TSAN_OPTIONS="suppressions=$PWD/scripts/suppressions/tsan.supp" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|SimdKernel|TwoJmaxSweep|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1|ParallelVsSerial|Halo|OddRankCounts'
+  -R 'ThreadPool|ThreadedForces|ComputeContext|SymmetricKernel|SimdKernel|SnapAtomBlock|TwoJmaxSweep|Dynamics|CrossDriver|StepLoopTimers|StepLoopTrace|ObsMetrics|ObsTrace|AsyncIo|Embt1|ParallelVsSerial|Halo|OddRankCounts'
 
 echo "== [4/7] bench_record =="
 cmake --build build -j "$JOBS" --target bench_record
