@@ -17,7 +17,7 @@
 // set through EMBER_SIMD: the width-1 scalar table and the ISA the
 // dispatcher picks (V8: lane-blocked AVX2/AVX-512 over neighbors), both
 // running the same TestSNAP V5-V7 layout (half range + cached neighbor
-// dU + SoA) through the lane-generic kernels. It runs them across
+// U + SoA) through the lane-generic kernels. It runs them across
 // thread counts, checks force parity between them, and optionally records
 // the whole run as machine-stamped JSON (--json <path>; the bench_record
 // CMake target writes BENCH_headline.json at the repo root). Thread
@@ -264,7 +264,7 @@ std::vector<StageReadout> measure_stages() {
       {"yi", reg.counter("snap.yi_seconds").value(),
        1e-9 * bi.flops_yi() * atoms},
       {"dei", reg.counter("snap.dei_seconds").value(),
-       1e-9 * (bi.flops_duidrj() + bi.flops_deidrj()) * neigh},
+       1e-9 * bi.flops_dei() * neigh},
   };
 }
 

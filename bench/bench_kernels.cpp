@@ -98,6 +98,27 @@ void BM_YiBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_YiBlock)->Arg(8)->Arg(14);
 
+// The production dei stage on one full neighbor block: an atom with
+// exactly one lane's worth of neighbors, so each iteration is one
+// dei_block call (the reverse sweep) plus its packing. Items are
+// neighbors, so 1 / items_per_second is the per-neighbor dei time.
+void BM_DeiBlock(benchmark::State& state) {
+  const int lanes = simd::lane_width(simd::choose_isa());
+  const auto w = make_workload(static_cast<int>(state.range(0)), lanes);
+  Bispectrum bi(w.params);
+  bi.compute_ui(w.rij, {});
+  bi.compute_yi(w.beta);
+  std::vector<Vec3> de(w.rij.size());
+  for (auto _ : state) {
+    bi.compute_deidrj_all(de);
+    benchmark::DoNotOptimize(de.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * lanes);
+  state.counters["lanes"] = lanes;
+}
+BENCHMARK(BM_DeiBlock)->Arg(8)->Arg(14);
+
 // Whole-atom force evaluation, Listing 5 vs Listing 1. The adjoint row
 // runs the stage sequence SnapPotential runs, on the dispatched kernel
 // table (EMBER_SIMD lowers it).

@@ -2,9 +2,9 @@
 
 // Cache-line-aligned allocation for SIMD-consumable arrays.
 //
-// The SNAP kernel stores U/Y/dU as split re/im double planes and the
-// V8 SIMD backend issues *aligned* vector loads against
-// them (64-byte alignment covers a full AVX-512 register and one cache
+// The SNAP kernel stores U, Y and its force-pass adjoint as split re/im
+// double planes and the V8 SIMD backend issues *aligned* vector loads
+// against them (64-byte alignment covers a full AVX-512 register and one cache
 // line; every AVX2 (32-byte) access into a 64-byte-aligned plane whose
 // offsets are lane-width multiples is aligned too). std::vector's default
 // allocator only guarantees alignof(double) = 8, so the planes use

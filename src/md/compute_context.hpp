@@ -14,7 +14,7 @@
 //     scatter-style kernels (SNAP, Tersoff write onto neighbors),
 //     partial energy/virial/FLOP sums, and a type-erased per-thread
 //     cache where potentials park expensive state (SNAP's per-thread
-//     Bispectrum with its U/Y/dU buffers — allocated once per thread,
+//     Bispectrum with its U/Y/adjoint buffers — allocated once per thread,
 //     not once per atom).
 //
 // Determinism contract: prepare_* / merge_forces / reduce_ev only use

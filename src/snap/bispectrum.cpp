@@ -62,8 +62,6 @@ void Bispectrum::allocate() {
   const int nh = idx_->u_half_total();
   utot_half_re_.resize(nh);
   utot_half_im_.resize(nh);
-  y_half_re_.resize(nh);
-  y_half_im_.resize(nh);
 
   const std::size_t w = static_cast<std::size_t>(simd_ops_->width);
   lanes_.resize(w);
@@ -76,10 +74,8 @@ void Bispectrum::allocate() {
   simd_wfc_.resize(w);
   simd_acc_re_.resize(static_cast<std::size_t>(nh) * w);
   simd_acc_im_.resize(static_cast<std::size_t>(nh) * w);
-  for (int d = 0; d < 3; ++d) {
-    simd_du_re_[d].resize(static_cast<std::size_t>(nh) * w);
-    simd_du_im_[d].resize(static_cast<std::size_t>(nh) * w);
-  }
+  simd_x_re_.resize(static_cast<std::size_t>(nh) * w);
+  simd_x_im_.resize(static_cast<std::size_t>(nh) * w);
   simd_out_.resize(3 * w);
 }
 
@@ -350,14 +346,8 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
   const std::size_t plane = static_cast<std::size_t>(nh) * w;
   const int nblk = (lc.nnbor + w - 1) / w;
   EMBER_CHECK(EMBER_REQUIRE(
-      is_aligned(y_half_re_.data()) && is_aligned(simd_du_re_[0].data()),
+      is_aligned(simd_x_re_.data()) && is_aligned(simd_x_im_.data()),
       "SNAP SIMD planes must be 64-byte aligned"));
-
-  // The dei kernel broadcasts Y per element: gather this atom's lane.
-  for (int e = 0; e < nh; ++e) {
-    y_half_re_[e] = lane_y_re_[static_cast<std::size_t>(e) * w + lane];
-    y_half_im_[e] = lane_y_im_[static_cast<std::size_t>(e) * w + lane];
-  }
 
   for (int b = 0; b < nblk; ++b) {
     for (int l = 0; l < w; ++l) pack_ck_lane(lc, b * w, l, w);
@@ -369,12 +359,12 @@ void Bispectrum::compute_deidrj_all(std::span<Vec3> de, int lane) {
     args.ck = simd_ck_.data();
     args.ur = lc.ure.data() + static_cast<std::size_t>(b) * plane;
     args.ui = lc.uim.data() + static_cast<std::size_t>(b) * plane;
-    for (int d = 0; d < 3; ++d) {
-      args.du_re[d] = simd_du_re_[d].data();
-      args.du_im[d] = simd_du_im_[d].data();
-    }
-    args.y_re = y_half_re_.data();
-    args.y_im = y_half_im_.data();
+    args.x_re = simd_x_re_.data();
+    args.x_im = simd_x_im_.data();
+    // This atom's Y lane, read in place (broadcast per element).
+    args.y_re = lane_y_re_.data() + lane;
+    args.y_im = lane_y_im_.data() + lane;
+    args.y_stride = w;
     args.out = simd_out_.data();
     simd_ops_->dei_block(args);
     const int active = std::min(w, lc.nnbor - b * w);
@@ -425,8 +415,7 @@ double Bispectrum::energy(double beta0, std::span<const double> beta) const {
 // paper's own numbers come from measured FLOP counters, so these serve the
 // same role (converting measured time into a FLOP rate). The adjoint
 // counts cover only the half column range the production kernel executes,
-// the mirror expansions, and the recursion-free cached dU pass with its
-// fused contraction.
+// the mirror expansions, and the reverse sweep of the force pass.
 
 double Bispectrum::flops_ui(int nnbor) const {
   // Vector lanes execute the same recursion, and padded-lane work is *not*
@@ -449,21 +438,18 @@ double Bispectrum::flops_yi() const {
          4.0 * static_cast<double>(yl.outs.size());
 }
 
-double Bispectrum::flops_duidrj() const {
-  // cached scheme: no mapping, no U recursion; the product rule is fused
-  // into the contraction (see flops_deidrj), so the dU pass is the bare
-  // derivative recursion (3 dims * 16) over the half range alone.
-  return 48.0 * static_cast<double>(idx_->u_half_total());
-}
-
-double Bispectrum::flops_deidrj() const {
-  // fused pass: S0 (4) + three Sd dots (12) per half element.
-  return 16.0 * static_cast<double>(idx_->u_half_total());
+double Bispectrum::flops_dei() const {
+  // Counted from the reverse sweep dei_block runs (no mapping, no U
+  // recursion: both are cached by compute_ui). Each recursion term of the
+  // half range, 2j per column of level j, costs t = r X (2), X_p +=
+  // conj(c) t (8) and G += conj(U_p) t (8); each half element adds 4 to S0.
+  double terms = 0.0;
+  for (int j = 1; j <= params_.twojmax; ++j) terms += 2.0 * j * (j / 2 + 1);
+  return 18.0 * terms + 4.0 * static_cast<double>(idx_->u_half_total());
 }
 
 double Bispectrum::flops_adjoint_atom(int nnbor) const {
-  return flops_ui(nnbor) + flops_yi() +
-         nnbor * (flops_duidrj() + flops_deidrj());
+  return flops_ui(nnbor) + flops_yi() + nnbor * flops_dei();
 }
 
 }  // namespace ember::snap

@@ -15,8 +15,11 @@
 // TestSNAP V5-V7 layout: only columns with 2*mb <= j are computed (the
 // rest follow from U[j,ma,mb] = (-1)^(ma+mb) conj(U[j,j-ma,j-mb])), each
 // neighbor's bare U list and Cayley-Klein mapping are cached during
-// compute_ui so the force pass runs the derivative-only recursion, and
-// U/Y/dU live in split re/im planes (SoA). On top of that ("V8"), the
+// compute_ui, and U/Y live in split re/im planes (SoA). The force pass
+// runs no dU recursion: Y is linear in U, so one reverse (adjoint) sweep
+// of the cached U recursion gives dE with respect to the Cayley-Klein
+// parameters a, b, and the three Cartesian directions follow from
+// da/dr, db/dr (DESIGN.md section 8). On top of that ("V8"), the
 // stages run through the width-generic kernels of src/snap/simd/ at the
 // dispatched lane width W (1 for the scalar table, 4 for AVX2, 8 for
 // AVX-512):
@@ -130,11 +133,10 @@ class Bispectrum {
     return lanes_[lane].nnbor;
   }
 
-  // Blocked dU + dE pass over every neighbor cached by the last
-  // compute_ui on `lane`: de[k] = dE_i/dr_k, against that lane's Y.
-  // Requires a yi stage. Each block of lane_width neighbors runs the
-  // derivative recursion and the fused Y : conj(dU) contraction in one
-  // dei_block call.
+  // Blocked dE pass over every neighbor cached by the last compute_ui on
+  // `lane`: de[k] = dE_i/dr_k, against that lane's Y (read in place).
+  // Requires a yi stage. Each block of lane_width neighbors runs one
+  // dei_block call: the reverse sweep of the U recursion seeded with Y.
   void compute_deidrj_all(std::span<Vec3> de, int lane = 0);
 
   // ISA this instance dispatched to at construction.
@@ -166,13 +168,12 @@ class Bispectrum {
   // ---- analytic FLOP estimates (double-precision mul+add counted as 2) --
   // The adjoint counts reflect the work the production kernel executes
   // per atom: the halved column range, the flattened yi list (dropped
-  // zero-CG rows and padded lanes not counted), the cached
-  // (recursion-free) dU pass with the fused contraction, and the mirror
-  // expansion, so reported FLOP rates stay honest.
+  // zero-CG rows and padded lanes not counted), the reverse sweep of the
+  // force pass (mapping and U recursion cached by compute_ui) and the
+  // mirror expansion, so reported FLOP rates stay honest.
   [[nodiscard]] double flops_ui(int nnbor) const;
   [[nodiscard]] double flops_yi() const;
-  [[nodiscard]] double flops_duidrj() const;   // per neighbor, dU recursion
-  [[nodiscard]] double flops_deidrj() const;   // per neighbor, fused dot
+  [[nodiscard]] double flops_dei() const;  // per neighbor, reverse sweep
   // Total per-atom FLOPs of the adjoint path with nnbor neighbors.
   [[nodiscard]] double flops_adjoint_atom(int nnbor) const;
 
@@ -227,8 +228,6 @@ class Bispectrum {
   // issue aligned vector loads.
   aligned_vector<double> utot_half_re_; // half-range accumulation (V5/V6)
   aligned_vector<double> utot_half_im_;
-  aligned_vector<double> y_half_re_;    // one lane's weighted half Y,
-  aligned_vector<double> y_half_im_;    //   element-major (dei input)
 
   // ---- atom lanes (yi_block) ----
   std::vector<LaneCache> lanes_;         // one per atom lane
@@ -246,8 +245,8 @@ class Bispectrum {
   aligned_vector<double> simd_wfc_;      // wj * fc per lane (0 when padded)
   aligned_vector<double> simd_acc_re_;   // lane-interleaved Utot accum
   aligned_vector<double> simd_acc_im_;
-  aligned_vector<double> simd_du_re_[3]; // lane-interleaved dU scratch
-  aligned_vector<double> simd_du_im_[3];
+  aligned_vector<double> simd_x_re_;     // lane-interleaved adjoint X
+  aligned_vector<double> simd_x_im_;     //   scratch of dei_block
   aligned_vector<double> simd_out_;      // 3 x width force lanes
 };
 

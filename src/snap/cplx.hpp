@@ -8,9 +8,9 @@
 // need; inputs are always finite by construction.
 //
 // CplxSoaView / CplxSoaConstView are span-based views over split re/im
-// planes (structure-of-arrays): the production kernel stores U, Y, and dU
-// as contiguous double planes so the Y : conj(dU) contractions reduce to
-// unit-stride real dot products that autovectorize.
+// planes (structure-of-arrays): the production kernel stores U, Y and its
+// force-pass adjoint as contiguous double planes so its contractions
+// reduce to unit-stride real dot products that autovectorize.
 
 #include <span>
 
@@ -50,7 +50,8 @@ constexpr Cplx operator*(const Cplx& a, const Cplx& b) {
 constexpr Cplx conj(const Cplx& a) { return {a.re, -a.im}; }
 constexpr Cplx operator-(const Cplx& a) { return {-a.re, -a.im}; }
 
-// Re(a * conj(b)) — the contraction primitive of the Y : dU* force kernel.
+// Re(a * conj(b)) — the contraction primitive of B = Z : U* and of the
+// Listing-1 Z : dU* force loop.
 constexpr double re_mul_conj(const Cplx& a, const Cplx& b) {
   return a.re * b.re + a.im * b.im;
 }

@@ -2,10 +2,10 @@
 
 // Runtime ISA dispatch for the SNAP "V8" SIMD kernels.
 //
-// The production SNAP kernel batches the Wigner-U recursion and the
-// Y : dU* adjoint contraction over blocks of neighbors, one neighbor per
-// vector lane, and the Y contraction over blocks of atoms, one atom per
-// lane (1 lane for Scalar, 4 for AVX2, 8 for AVX-512). Every tier runs
+// The production SNAP kernel batches the Wigner-U recursion and its
+// reverse (adjoint) sweep, the force pass, over blocks of neighbors, one
+// neighbor per vector lane, and the Y contraction over blocks of atoms,
+// one atom per lane (1 lane for Scalar, 4 for AVX2, 8 for AVX-512). Every tier runs
 // the same width-generic kernels (kernels_impl.hpp); which table runs is
 // decided at runtime, once per Bispectrum construction; EMBER_SIMD is the
 // only knob:

@@ -60,13 +60,16 @@ struct UiBlockArgs {
   double* acc_im = nullptr;
 };
 
-// Batched derivative recursion + fused product rule + Y : dU* adjoint
-// contraction for one block: for each lane l and Cartesian dim d,
+// Force pass for one block, one neighbor per lane: the reverse (adjoint)
+// sweep of the bare-U recursion over the cached U planes. For each lane l
+// and Cartesian dim d,
 //   out[d * width + l] = w_l * (dfc_dl * S0_l + fc_l * Sd_l)
-// with S0 = sum_e y[e] . u[e] and Sd = sum_e y[e] . du_d[e] over the
-// (weight-folded) half-range Y planes — algebraically identical to the
-// product rule d(w fc u) = w (dfc u + fc du) followed by the plane dot
-// product.
+// with S0 = sum_e y[e] . u[e] over the (weight-folded) half-range Y and
+// Sd = dS0/dr_d = Re(conj(abar) da_d) + Re(conj(bbar) db_d), where abar,
+// bbar are the gradient of S0 with respect to the Cayley-Klein
+// parameters, which one backward pass yields for all three dims at once.
+// This is the product rule d(w fc u) = w (dfc u + fc du) distributed over
+// the Y dot product.
 struct DeiBlockArgs {
   int twojmax = 0;
   const int* half_block = nullptr;
@@ -75,10 +78,12 @@ struct DeiBlockArgs {
   const double* ck = nullptr;       // kCkSlots * width lane-packed slots
   const double* ur = nullptr;       // cached bare-U planes of this block
   const double* ui = nullptr;
-  double* du_re[3] = {};            // scratch planes, nh * width each
-  double* du_im[3] = {};
-  const double* y_re = nullptr;     // half-range Y, element-major,
-  const double* y_im = nullptr;     //   pre-folded with half_weight
+  double* x_re = nullptr;           // adjoint scratch planes, nh * width
+  double* x_im = nullptr;
+  const double* y_re = nullptr;     // the atom's half-range Y, pre-folded
+  const double* y_im = nullptr;     //   with half_weight: element e at
+  int y_stride = 1;                 //   y_re[e * y_stride] (read in place
+                                    //   from an atom lane of yi_block)
   double* out = nullptr;            // 3 * width: dim-major force lanes
 };
 

@@ -18,8 +18,8 @@
 //
 // ui_block runs the bare-U recursion over the half column range
 // (2*mb <= j; the rest follow from the conjugation mirror), dei_block the
-// derivative-only recursion on the cached bare U plus the fused product
-// rule and Y : dU* contraction; in both, each lane is one neighbor of one
+// reverse (adjoint) sweep of that recursion on the cached bare U, seeded
+// with Y, then the product rule; in both, each lane is one neighbor of one
 // atom. yi_block is the Y contraction over the flattened coupling list,
 // and there each lane is one *atom*: every atom runs the same triples,
 // ranges and CG factors, so the list is walked once per block of atoms.
@@ -164,124 +164,114 @@ void dei_block_impl(const DeiBlockArgs& g) {
   constexpr int kW = V::width;
   const int tj = g.twojmax;
   const double* ck = g.ck;
+  const double* ur = g.ur;
+  const double* ui = g.ui;
+  double* xr = g.x_re;
+  double* xi = g.x_im;
 
+  // Seed the adjoint: S0 = sum_e y[e] . u[e] is linear in U, so its
+  // gradient with respect to U is X = Y on every lane. S0 itself shares
+  // the sweep.
+  V s0 = V::zero();
+  for (int e = 0; e < g.nh; ++e) {
+    const V yr = V::broadcast(g.y_re[e * g.y_stride]);
+    const V yi = V::broadcast(g.y_im[e * g.y_stride]);
+    const int o = e * kW;
+    yr.store_to(xr + o);
+    yi.store_to(xi + o);
+    s0 = V::fma(yr, V::load(ur + o), s0);
+    s0 = V::fma(yi, V::load(ui + o), s0);
+  }
+
+  // One forward term v += r * c * U_p, reversed: with t = r X_v,
+  //   X_p += conj(c) t   and   H += U_p conj(t),
+  // H = conj(G_c) being the conjugated gradient with respect to c (the
+  // conjugate keeps every update one fma + one fma/fmsub).
+  const auto term = [&](V r, V cr, V ci, V nci, V xvr, V xvi, int p, V& hr,
+                        V& hi) {
+    const V tr = r * xvr;
+    const V ti = r * xvi;
+    const V upr = V::load(ur + p);
+    const V upi = V::load(ui + p);
+    V::fma(cr, tr, V::fma(ci, ti, V::load(xr + p))).store_to(xr + p);
+    V::fma(cr, ti, V::fma(nci, tr, V::load(xi + p))).store_to(xi + p);
+    hr = V::fma(upr, tr, V::fma(upi, ti, hr));
+    hi = V::fmsub(upi, tr, V::fmsub(upr, ti, hi));
+  };
+
+  // Walk the levels downwards: every child of level j - 1 lives on level
+  // j, so X_v is complete when v is reached. The gradient with respect to
+  // a and b is abar, bbar (dE = Re(conj(abar) da) + Re(conj(bbar) db)).
   const V are = V::load(ck + kCkARe * kW);
   const V aim = V::load(ck + kCkAIm * kW);
   const V bre = V::load(ck + kCkBRe * kW);
   const V bim = V::load(ck + kCkBIm * kW);
-  V dar[3];
-  V dai[3];
-  V dbr[3];
-  V dbi[3];
-  for (int d = 0; d < 3; ++d) {
-    dar[d] = V::load(ck + (kCkDaRe0 + d) * kW);
-    dai[d] = V::load(ck + (kCkDaIm0 + d) * kW);
-    dbr[d] = V::load(ck + (kCkDbRe0 + d) * kW);
-    dbi[d] = V::load(ck + (kCkDbIm0 + d) * kW);
-  }
-
-  // Element 0 of the bare derivative is zero on every dim and lane.
-  for (int d = 0; d < 3; ++d) {
-    V::zero().store_to(g.du_re[d]);
-    V::zero().store_to(g.du_im[d]);
-  }
-
-  // Derivative-only recursion over the half range; the bare U values the
-  // chain rule needs come from the lane-interleaved cache of ui_block.
-  for (int j = 1; j <= tj; ++j) {
+  V abr = V::zero();
+  V abi = V::zero();
+  V bbr = V::zero();
+  V bbi = V::zero();
+  for (int j = tj; j >= 1; --j) {
     const int blk = g.half_block[j];
     const int pblk = g.half_block[j - 1];
     const int hs = j / 2 + 1;
     const int phs = (j - 1) / 2 + 1;
     for (int mb = 0; mb <= j / 2; ++mb) {
       const bool zc = (mb == 0);
+      // cu = zc ? -conj(b) : a ;  cd = zc ? conj(a) : b
       const V cur = zc ? V::neg(bre) : are;
       const V cui = zc ? bim : aim;
       const V cdr = zc ? are : bre;
       const V cdi = zc ? V::neg(aim) : bim;
-      V dcur[3];
-      V dcui[3];
-      V dcdr[3];
-      V dcdi[3];
-      for (int d = 0; d < 3; ++d) {
-        // dcu = zc ? -conj(db) : da ;  dcd = zc ? conj(da) : db
-        dcur[d] = zc ? V::neg(dbr[d]) : dar[d];
-        dcui[d] = zc ? dbi[d] : dai[d];
-        dcdr[d] = zc ? dar[d] : dbr[d];
-        dcdi[d] = zc ? V::neg(dai[d]) : dbi[d];
-      }
+      const V ncui = V::neg(cui);
+      const V ncdi = V::neg(cdi);
       const int pcol = zc ? 0 : mb - 1;
       const int denom = zc ? j : mb;
+      V hur = V::zero();
+      V hui = V::zero();
+      V hdr = V::zero();
+      V hdi = V::zero();
       for (int ma = 0; ma <= j; ++ma) {
-        V dvre[3] = {V::zero(), V::zero(), V::zero()};
-        V dvim[3] = {V::zero(), V::zero(), V::zero()};
+        const int e = (blk + ma * hs + mb) * kW;
+        const V xvr = V::load(xr + e);
+        const V xvi = V::load(xi + e);
         if (ma > 0) {
-          const V r = V::broadcast(g.rootpq[ma * (tj + 1) + denom]);
-          const int p = (pblk + (ma - 1) * phs + pcol) * kW;
-          const V upre = V::load(g.ur + p);
-          const V upim = V::load(g.ui + p);
-          for (int d = 0; d < 3; ++d) {
-            const V dre = V::load(g.du_re[d] + p);
-            const V dim = V::load(g.du_im[d] + p);
-            // dv += r * (dcu * up + cu * dup)
-            const V tre = V::fmsub(dcur[d], upre, dcui[d] * upim) +
-                          V::fmsub(cur, dre, cui * dim);
-            const V tim = V::fma(dcur[d], upim, dcui[d] * upre) +
-                          V::fma(cur, dim, cui * dre);
-            dvre[d] = V::fma(r, tre, dvre[d]);
-            dvim[d] = V::fma(r, tim, dvim[d]);
-          }
+          term(V::broadcast(g.rootpq[ma * (tj + 1) + denom]), cur, cui, ncui,
+               xvr, xvi, (pblk + (ma - 1) * phs + pcol) * kW, hur, hui);
         }
         if (ma < j) {
-          const V r = V::broadcast(g.rootpq[(j - ma) * (tj + 1) + denom]);
-          const int p = (pblk + ma * phs + pcol) * kW;
-          const V upre = V::load(g.ur + p);
-          const V upim = V::load(g.ui + p);
-          for (int d = 0; d < 3; ++d) {
-            const V dre = V::load(g.du_re[d] + p);
-            const V dim = V::load(g.du_im[d] + p);
-            const V tre = V::fmsub(dcdr[d], upre, dcdi[d] * upim) +
-                          V::fmsub(cdr, dre, cdi * dim);
-            const V tim = V::fma(dcdr[d], upim, dcdi[d] * upre) +
-                          V::fma(cdr, dim, cdi * dre);
-            dvre[d] = V::fma(r, tre, dvre[d]);
-            dvim[d] = V::fma(r, tim, dvim[d]);
-          }
+          term(V::broadcast(g.rootpq[(j - ma) * (tj + 1) + denom]), cdr, cdi,
+               ncdi, xvr, xvi, (pblk + ma * phs + pcol) * kW, hdr, hdi);
         }
-        const int e = (blk + ma * hs + mb) * kW;
-        for (int d = 0; d < 3; ++d) {
-          dvre[d].store_to(g.du_re[d] + e);
-          dvim[d].store_to(g.du_im[d] + e);
-        }
+      }
+      // Map G = conj(H) back to a and b: in the mb = 0 column
+      // abar += conj(G_conj(a)) and bbar -= conj(G_-conj(b)), elsewhere
+      // abar += G_a and bbar += G_b.
+      if (zc) {
+        abr = abr + hdr;
+        abi = abi + hdi;
+        bbr = bbr - hur;
+        bbi = bbi - hui;
+      } else {
+        abr = abr + hur;
+        abi = abi - hui;
+        bbr = bbr + hdr;
+        bbi = bbi - hdi;
       }
     }
   }
 
-  // Fused product rule + contraction. With the product rule
-  //   d(w fc u) = w (dfc u + fc du)
-  // distributed over the Y dot product,
-  //   dE_d = sum_e y[e] . (w (dfc_d u[e] + fc du_d[e]))
-  //        = w * (dfc_d * S0 + fc * Sd),
-  // S0 = sum_e y[e] . u[e],  Sd = sum_e y[e] . du_d[e]; the four running
-  // sums share one sweep over the planes, per lane, no horizontal ops.
-  V s0 = V::zero();
-  V s[3] = {V::zero(), V::zero(), V::zero()};
-  for (int e = 0; e < g.nh; ++e) {
-    const V yr = V::broadcast(g.y_re[e]);
-    const V yi = V::broadcast(g.y_im[e]);
-    const int o = e * kW;
-    s0 = V::fma(yr, V::load(g.ur + o), s0);
-    s0 = V::fma(yi, V::load(g.ui + o), s0);
-    for (int d = 0; d < 3; ++d) {
-      s[d] = V::fma(yr, V::load(g.du_re[d] + o), s[d]);
-      s[d] = V::fma(yi, V::load(g.du_im[d] + o), s[d]);
-    }
-  }
+  // Product rule d(w fc u) = w (dfc u + fc du) over the Y dot product:
+  //   dE_d = w * (dfc_d * S0 + fc * Sd),
+  //   Sd = Re(conj(abar) da_d) + Re(conj(bbar) db_d).
   const V w = V::load(ck + kCkW * kW);
   const V fc = V::load(ck + kCkFc * kW);
   for (int d = 0; d < 3; ++d) {
+    const V sd = V::fma(abr, V::load(ck + (kCkDaRe0 + d) * kW),
+                        V::fma(abi, V::load(ck + (kCkDaIm0 + d) * kW),
+                               V::fma(bbr, V::load(ck + (kCkDbRe0 + d) * kW),
+                                      bbi * V::load(ck + (kCkDbIm0 + d) * kW))));
     const V dfc = V::load(ck + (kCkDfc0 + d) * kW);
-    (w * V::fma(dfc, s0, fc * s[d])).store_to(g.out + d * kW);
+    (w * V::fma(dfc, s0, fc * sd)).store_to(g.out + d * kW);
   }
 }
 

@@ -297,8 +297,9 @@ void SnapPotential::compute_range(Worker& wk, const md::System& sys,
       stage.reset();
     }
 
-    // dei: blocked dU + dE pass per atom over the neighbors its lane
-    // cached (one neighbor per lane of the dispatched kernel table).
+    // dei: per atom, the reverse sweep of its cached U recursion seeded
+    // with its Y lane, over the neighbors its lane cached (one neighbor
+    // per lane of the dispatched kernel table).
     for (int l = 0; l < na; ++l) {
       const int i = i0 + l;
       const std::vector<Vec3>& rij = wk.rij[l];

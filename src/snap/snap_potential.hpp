@@ -62,7 +62,7 @@ class SnapPotential final : public md::PairPotential {
   // Threaded over atom chunks, each run in blocks of W atoms: worker 0
   // uses the member Worker (the exact serial path), workers >= 1 get a
   // private Worker from the context's per-thread cache, so the per-atom
-  // U/Y/dU arrays are allocated once per thread, never shared. All
+  // U/Y/adjoint arrays are allocated once per thread, never shared. All
   // workers share one SnapIndex (and its yi list) read-only. An atom's
   // dE and site energy do not depend on its lane or its block-mates.
   using md::PairPotential::compute;

@@ -239,6 +239,14 @@ TEST(Bispectrum, FlopEstimatesArePositiveAndOrdered) {
   // O(J^7) growth: 2J=14 coupling sweep must dwarf 2J=8's.
   EXPECT_GT(b14.flops_yi() / b8.flops_yi(), 8.0);
   EXPECT_GT(b8.flops_adjoint_atom(26), 0.0);
+  // dei is counted per neighbor from the reverse sweep: at 2J=8 the half
+  // range has 260 recursion terms (18 flops each) and 155 elements (4
+  // each for S0). The per-atom total is ui + yi + one dei per neighbor.
+  EXPECT_DOUBLE_EQ(b8.flops_dei(), 18.0 * 260 + 4.0 * 155);
+  EXPECT_DOUBLE_EQ(b8.flops_adjoint_atom(26),
+                   b8.flops_ui(26) + b8.flops_yi() + 26 * b8.flops_dei());
+  EXPECT_LT(b8.flops_dei(), b8.flops_yi());
+  EXPECT_GT(b14.flops_dei(), b8.flops_dei());
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // neighbor counts that exercise every remainder-lane case, thread counts,
 // and the full SnapPotential evaluation. The yi_block tiers (one atom per
 // lane, remainder blocks included) agree with the width-1 tier and with
-// the full-range sum coeff * Z to 1e-12. Every ISA the binary supports
+// the full-range sum coeff * Z to 1e-12. dei_block, driven directly with
+// arbitrary Y planes, matches a central difference of the energy it
+// differentiates on every tier. Every ISA the binary supports
 // must have a kernel table of its lane width, default parameters must
 // dispatch simd::choose_isa(), and the dispatcher must reject unknown
 // override values.
@@ -29,6 +31,7 @@
 #include "snap/simd/kernels.hpp"
 #include "snap/snap_potential.hpp"
 #include "snap/testsnap.hpp"
+#include "snap/wigner.hpp"
 #include "scoped_simd_env.hpp"
 
 namespace ember::snap {
@@ -196,8 +199,198 @@ TEST_P(SimdKernelParity, YiBlockTiersAgree) {
   }
 }
 
+// ---- dei_block kernel contract -------------------------------------------
+//
+// The plane-level harness packs blocks the way kernels.hpp states (padded
+// lanes repeat the last active neighbor, weight 0) and reads Y through
+// y_stride = 1 from plain planes, so Y can be any complex vector.
+
+struct DeiHarness {
+  SnapParams p;
+  SnapIndex idx;
+  std::vector<double> rootpq;
+
+  explicit DeiHarness(const SnapParams& params)
+      : p(params), idx(params.twojmax) {
+    const int tj = p.twojmax;
+    rootpq.assign(static_cast<std::size_t>(tj + 1) * (tj + 1), 0.0);
+    for (int a = 1; a <= tj; ++a) {
+      for (int b = 1; b <= tj; ++b) {
+        rootpq[static_cast<std::size_t>(a) * (tj + 1) + b] =
+            std::sqrt(static_cast<double>(a) / b);
+      }
+    }
+  }
+
+  // Bare half-range U planes of one block (ui_block), lane-interleaved.
+  void run_ui(const simd::SimdOps& ops, const std::vector<CayleyKlein>& ck,
+              aligned_vector<double>& ur, aligned_vector<double>& ui) const {
+    const int w = ops.width;
+    const std::size_t plane = static_cast<std::size_t>(idx.u_half_total()) * w;
+    aligned_vector<double> slots(4 * w);
+    aligned_vector<double> wfc(w, 0.0);
+    aligned_vector<double> acc_re(plane, 0.0);
+    aligned_vector<double> acc_im(plane, 0.0);
+    for (int l = 0; l < w; ++l) {
+      slots[0 * w + l] = ck[l].a.re;
+      slots[1 * w + l] = ck[l].a.im;
+      slots[2 * w + l] = ck[l].b.re;
+      slots[3 * w + l] = ck[l].b.im;
+    }
+    ur.assign(plane, 0.0);
+    ui.assign(plane, 0.0);
+    simd::UiBlockArgs u;
+    u.twojmax = p.twojmax;
+    u.half_block = idx.u_half_block_data();
+    u.nh = idx.u_half_total();
+    u.rootpq = rootpq.data();
+    u.a_re = slots.data();
+    u.a_im = slots.data() + w;
+    u.b_re = slots.data() + 2 * w;
+    u.b_im = slots.data() + 3 * w;
+    u.wfc = wfc.data();
+    u.ur = ur.data();
+    u.ui = ui.data();
+    u.acc_re = acc_re.data();
+    u.acc_im = acc_im.data();
+    ops.ui_block(u);
+  }
+
+  // dE/dr_k of E = sum_k w_k fc_k sum_e y[e] . u_e(r_k) through dei_block.
+  std::vector<Vec3> dei(const simd::SimdOps& ops, const std::vector<Vec3>& rij,
+                        const std::vector<double>& wj,
+                        const std::vector<double>& y_re,
+                        const std::vector<double>& y_im) const {
+    const int w = ops.width;
+    const int nn = static_cast<int>(rij.size());
+    const std::size_t plane = static_cast<std::size_t>(idx.u_half_total()) * w;
+    aligned_vector<double> ur;
+    aligned_vector<double> ui;
+    aligned_vector<double> x_re(plane);
+    aligned_vector<double> x_im(plane);
+    aligned_vector<double> slots(static_cast<std::size_t>(simd::kCkSlots) * w);
+    aligned_vector<double> out(3 * w);
+    std::vector<Vec3> de(nn);
+    for (int k0 = 0; k0 < nn; k0 += w) {
+      std::vector<CayleyKlein> ck(w);
+      for (int l = 0; l < w; ++l) {
+        const bool active = k0 + l < nn;
+        const int k = active ? k0 + l : nn - 1;
+        const CayleyKlein& c = ck[l] = map_to_sphere(
+            rij[k], p.rcut, p.rfac0, p.rmin0, p.switch_flag);
+        double* s = slots.data();
+        s[simd::kCkARe * w + l] = c.a.re;
+        s[simd::kCkAIm * w + l] = c.a.im;
+        s[simd::kCkBRe * w + l] = c.b.re;
+        s[simd::kCkBIm * w + l] = c.b.im;
+        for (int d = 0; d < 3; ++d) {
+          s[(simd::kCkDaRe0 + d) * w + l] = c.da[d].re;
+          s[(simd::kCkDaIm0 + d) * w + l] = c.da[d].im;
+          s[(simd::kCkDbRe0 + d) * w + l] = c.db[d].re;
+          s[(simd::kCkDbIm0 + d) * w + l] = c.db[d].im;
+          s[(simd::kCkDfc0 + d) * w + l] = c.dfc[d];
+        }
+        s[simd::kCkFc * w + l] = c.fc;
+        s[simd::kCkW * w + l] = active ? wj[k] : 0.0;
+      }
+      run_ui(ops, ck, ur, ui);
+      simd::DeiBlockArgs g;
+      g.twojmax = p.twojmax;
+      g.half_block = idx.u_half_block_data();
+      g.nh = idx.u_half_total();
+      g.rootpq = rootpq.data();
+      g.ck = slots.data();
+      g.ur = ur.data();
+      g.ui = ui.data();
+      g.x_re = x_re.data();
+      g.x_im = x_im.data();
+      g.y_re = y_re.data();
+      g.y_im = y_im.data();
+      g.y_stride = 1;
+      g.out = out.data();
+      ops.dei_block(g);
+      for (int l = 0; l < w && k0 + l < nn; ++l) {
+        de[k0 + l] = Vec3{out[l], out[w + l], out[2 * w + l]};
+      }
+    }
+    return de;
+  }
+
+  // w fc(r) sum_e y[e] . u_e(r) for one neighbor, U from the width-1
+  // ui_block.
+  double energy(const Vec3& r, double wk, const std::vector<double>& y_re,
+                const std::vector<double>& y_im) const {
+    const CayleyKlein c =
+        map_to_sphere(r, p.rcut, p.rfac0, p.rmin0, p.switch_flag);
+    aligned_vector<double> ur;
+    aligned_vector<double> ui;
+    run_ui(simd::scalar_ops(), {c}, ur, ui);
+    double sum = 0.0;
+    for (int e = 0; e < idx.u_half_total(); ++e) {
+      sum += y_re[e] * ur[e] + y_im[e] * ui[e];
+    }
+    return wk * c.fc * sum;
+  }
+};
+
+TEST_P(SimdKernelParity, DeiBlockMatchesFiniteDifference) {
+  // Y is an arbitrary complex vector, not built from a beta: self-mirror
+  // elements carry imaginary parts no model produces, so every element's
+  // gradient path is exercised. Neighbor counts W - 1 and W + 1 leave
+  // padded lanes on every tier; rmin0 > 0 and the switch off change the
+  // mapping and fc terms of the product rule.
+  const int twojmax = GetParam();
+  SnapParams inner = base_params(twojmax);
+  inner.rmin0 = 0.3;
+  SnapParams no_switch = base_params(twojmax);
+  no_switch.switch_flag = false;
+  int config = 0;
+  for (const SnapParams& p : {base_params(twojmax), inner, no_switch}) {
+    ++config;
+    const DeiHarness h(p);
+    Rng rng(505 + static_cast<std::uint64_t>(16 * twojmax + config));
+    const int nh = h.idx.u_half_total();
+    std::vector<double> y_re(nh);
+    std::vector<double> y_im(nh);
+    for (int e = 0; e < nh; ++e) {
+      y_re[e] = rng.uniform(-1.0, 1.0);
+      y_im[e] = rng.uniform(-1.0, 1.0);
+    }
+    const int cap = static_cast<int>(simd::max_supported_isa());
+    for (int t = 0; t <= cap; ++t) {
+      const auto isa = static_cast<simd::SimdIsa>(t);
+      const simd::SimdOps& ops = simd::ops_for(isa);
+      for (const int nn : {std::max(1, ops.width - 1), ops.width + 1}) {
+        const auto rij = random_shell(rng, nn, 0.8, 3.2);
+        std::vector<double> wj(nn);
+        for (auto& x : wj) x = rng.uniform(0.5, 1.5);
+        const auto de = h.dei(ops, rij, wj, y_re, y_im);
+        const auto de1 = h.dei(simd::scalar_ops(), rij, wj, y_re, y_im);
+        constexpr double kStep = 1e-5;
+        for (int k = 0; k < nn; ++k) {
+          for (int d = 0; d < 3; ++d) {
+            Vec3 rp = rij[k];
+            Vec3 rm = rij[k];
+            rp[d] += kStep;
+            rm[d] -= kStep;
+            const double fd = (h.energy(rp, wj[k], y_re, y_im) -
+                               h.energy(rm, wj[k], y_re, y_im)) /
+                              (2.0 * kStep);
+            EXPECT_NEAR(de[k][d], fd, 1e-7 * std::max(1.0, std::abs(fd)))
+                << simd::to_string(isa) << " config " << config << " n=" << nn
+                << " neighbor " << k << " dim " << d;
+            EXPECT_NEAR(de[k][d], de1[k][d], 1e-12)
+                << simd::to_string(isa) << " config " << config << " n=" << nn
+                << " neighbor " << k << " dim " << d;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(TwoJmaxSweep, SimdKernelParity,
-                         ::testing::Values(2, 4, 8));
+                         ::testing::Values(2, 4, 8, 14));
 
 TEST(SimdDispatch, EveryIsaHasAKernelTable) {
   // Every tier the binary can run has a table of its own lane width; the
